@@ -224,7 +224,7 @@ router = ShardRouter.spawn(
     seed=0,
 )
 try:
-    # Same shape as RouterServer.do_POST: a client-supplied header id
+    # Same shape as the HTTP front's do_POST: a client-supplied header id
     # forces sampling; handle_partition forwards it to the shard.
     trace = router.tracer.start(trace_id="ci-trace-smoke-01")
     status, reply = router.handle_partition(
@@ -261,12 +261,12 @@ finally:
 print("trace smoke OK: id echoed, router+shard spans linked in JSONL")
 PY
 
-echo "== chaos smoke (kill a worker mid-replay, assert bit-identity) =="
-# One representative fault-injection run from the chaos suite (the full
-# suite runs under `pytest -m chaos`; tier-1 deselects the marker).  The
+echo "== chaos suite (fault injection: killed workers, SIGKILLed shards) =="
+# The full fault-injection suite (tier-1 deselects the marker): worker
+# kills mid-replay must stay bit-identical, and subprocess shards SIGKILLed
+# behind the router's HTTP front must cost no client a failed request.  The
 # hard timeout is the point: a recovery path that wedges instead of
-# respawning must fail the gate fast.
-timeout --kill-after=30 300 \
-    python -m pytest -q -m chaos -k smoke tests/reliability
+# respawning or failing over must fail the gate fast.
+timeout --kill-after=30 300 python -m pytest -q -m chaos
 
 echo "== ci_check OK =="

@@ -350,7 +350,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_route(args) -> int:
     """Spawn N shards and run the consistent-hash router in front of them."""
-    from repro.serve import RouterConfig, RouterServer, ShardRouter
+    from repro.serve import PartitionServer, RouterConfig, ShardRouter
 
     config = RouterConfig(
         replication=args.replication,
@@ -378,7 +378,7 @@ def _cmd_route(args) -> int:
         batch_window_ms=args.batch_window_ms,
         batch_max_size=args.batch_max_size,
     )
-    server = RouterServer(
+    server = PartitionServer(
         router, host=args.host, port=args.port, verbose=args.verbose
     )
     # Same machine-readable first line as `repro serve`: the router is

@@ -219,6 +219,20 @@ class Histogram:
                 "max": self._max,
             }
 
+    def percentiles_ms(self) -> dict:
+        """The ``/metrics`` latency shape of a histogram of milliseconds:
+        ``count`` with ``p50_ms``/``p95_ms``/``p99_ms``.  Empty, it reports
+        ``p50_ms``/``p95_ms`` as None and carries no ``p99_ms`` key."""
+        with self._lock:
+            if self._count == 0:
+                return {"count": 0, "p50_ms": None, "p95_ms": None}
+            return {
+                "count": self._count,
+                "p50_ms": self._percentile_locked(50),
+                "p95_ms": self._percentile_locked(95),
+                "p99_ms": self._percentile_locked(99),
+            }
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram({self.name!r}, count={self._count})"
 

@@ -13,8 +13,8 @@ that, with four pieces:
 * :mod:`repro.serve.registry` — named, versioned policy checkpoints on disk
   plus a warm pool of live partitioners;
 * :mod:`repro.serve.service` / :mod:`repro.serve.server` — the in-process
-  :class:`PartitionService` front end and its stdlib-HTTP JSON endpoint
-  (CLI: ``repro serve`` / ``repro request``);
+  :class:`PartitionService` front end and the one stdlib-HTTP JSON front
+  that serves it, or the router (CLI: ``repro serve`` / ``repro request``);
 * :mod:`repro.serve.persist` — the crash-safe journal-backed variant of
   the result cache (``--cache-dir``), surviving restarts;
 * :mod:`repro.serve.router` — the replicated sharded tier: a
@@ -44,7 +44,6 @@ from repro.serve.router import (
     CircuitBreaker,
     HashRing,
     RouterConfig,
-    RouterServer,
     ShardEndpoint,
     ShardRouter,
     routing_key,
@@ -80,7 +79,6 @@ __all__ = [
     "PlatformDescriptor",
     "RegistryError",
     "RouterConfig",
-    "RouterServer",
     "ServiceConfig",
     "ServiceError",
     "ServiceOverloadError",

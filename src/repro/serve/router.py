@@ -52,26 +52,22 @@ import sys
 import threading
 import time
 import urllib.error
-import urllib.parse
 import urllib.request
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, prometheus_from_snapshot
 from repro.obs.trace import NULL_SPAN, TRACE_HEADER, Tracer
 from repro.serve.fingerprint import PlatformDescriptor, canonical_form, request_fingerprint
-from repro.serve.server import request_from_payload
+from repro.serve.server import request_from_payload, response_to_payload
 from repro.serve.service import (
     PartitionRequest,
+    PartitionResponse,
     ServiceError,
     greedy_fallback,
 )
-
-#: Upper bound on a routed request body (matches the shard server's bound).
-_MAX_BODY_BYTES = 64 * 2**20
 
 #: Successful-request latencies retained for the hedge-delay percentile.
 _HEDGE_WINDOW = 256
@@ -532,9 +528,12 @@ class ShardRouter:
 
     Construct with shard endpoints (:func:`spawn_shard` /
     :meth:`ShardRouter.spawn`, or attach to addresses you already run),
-    then call :meth:`handle_partition` per request — or put
-    :class:`RouterServer` in front for the HTTP form.
+    then call :meth:`handle_partition` per request — or serve it over HTTP
+    with :class:`repro.serve.server.PartitionServer`, the same front a
+    shard uses.
     """
+
+    server_version = "repro-route/1"
 
     def __init__(
         self,
@@ -838,7 +837,7 @@ class ShardRouter:
                      time.perf_counter() - t0))
 
     def handle_partition(
-        self, payload: dict, trace=None
+        self, payload: dict, trace=None, source: "str | None" = None
     ) -> "tuple[int, dict]":
         """Serve one request: ``(HTTP status, JSON-safe reply)``.
 
@@ -848,11 +847,12 @@ class ShardRouter:
         ``ok`` (or first client error) wins.  Only when every replica has
         failed or is breaker-open does the router answer degraded itself.
 
-        ``trace`` (from :class:`RouterServer`'s handler, or any caller
-        holding one) gets a ``router.routing`` span plus one
-        ``router.attempt`` child span per forward; sampled traces forward
-        their id to the shard.  Attempt threads receive their span
-        explicitly — context vars do not cross thread starts.
+        ``trace`` (from the HTTP front, or any caller holding one) gets a
+        ``router.routing`` span plus one ``router.attempt`` child span per
+        forward; sampled traces forward their id to the shard.  Attempt
+        threads receive their span explicitly — context vars do not cross
+        thread starts.  ``source`` (the front's client id) is ignored:
+        shards rate-limit, not the router.
         """
         self._requests_total.inc()
         t_request = time.perf_counter()
@@ -990,28 +990,28 @@ class ShardRouter:
             }
         degraded_span.end()
         self._degraded_serves.inc()
-        checkpoint = None
-        if request.checkpoint is not None:
-            checkpoint = {
-                "name": request.checkpoint,
-                "version": request.version,
-            }
-        return 200, {
-            "fingerprint": key,
-            "assignment": assignment.tolist(),
-            "improvement": float(sample.improvement),
-            "objective": request.objective,
-            "cached": False,
-            "source": "degraded",
-            "latency_ms": (time.perf_counter() - t0) * 1e3,
-            "samples": 0,
-            "chips": int(request.n_chips),
-            "checkpoint": checkpoint,
-            "throughput": float(sample.result.throughput),
-            "latency_us": float(sample.result.latency_us),
-            "degraded": True,
-            "degraded_reason": "all_replicas_down",
-        }
+        return 200, response_to_payload(
+            PartitionResponse(
+                fingerprint=key,
+                assignment=assignment,
+                improvement=float(sample.improvement),
+                objective=request.objective,
+                cached=False,
+                source="degraded",
+                latency_ms=(time.perf_counter() - t0) * 1e3,
+                samples=0,
+                n_chips=int(request.n_chips),
+                checkpoint=(
+                    None
+                    if request.checkpoint is None
+                    else (request.checkpoint, request.version)
+                ),
+                throughput=float(sample.result.throughput),
+                latency_us=float(sample.result.latency_us),
+                degraded=True,
+                degraded_reason="all_replicas_down",
+            )
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1046,17 +1046,7 @@ class ShardRouter:
             "all_replicas_down": self.all_replicas_down,
             "client_errors": self.client_errors,
         }
-        hist = self._latency_ms_hist
-        snap["latency_ms"] = (
-            {"count": 0, "p50_ms": None, "p95_ms": None}
-            if hist.count == 0
-            else {
-                "count": hist.count,
-                "p50_ms": hist.percentile(50),
-                "p95_ms": hist.percentile(95),
-                "p99_ms": hist.percentile(99),
-            }
-        )
+        snap["latency_ms"] = self._latency_ms_hist.percentiles_ms()
         snap["hedge"] = {
             "enabled": self.config.hedge,
             "delay_s": self._hedge_delay_s(),
@@ -1096,148 +1086,3 @@ class ShardRouter:
             key: snap[key] for key in ("hedge", "shards") if key in snap
         }
         return self.metrics_registry.render() + prometheus_from_snapshot(extra)
-
-
-class _RouterHandler(BaseHTTPRequestHandler):
-    """The router's HTTP face — wire-compatible with a shard's, so the
-    existing client helpers (``repro request``, :func:`request_partition`)
-    work unchanged against a router."""
-
-    server_version = "repro-route/1"
-
-    def _reply(
-        self, code: int, payload: dict, headers: "dict | None" = None
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if code == 503 and "retry_after_s" in payload:
-            self.send_header(
-                "Retry-After", f"{max(payload['retry_after_s'], 0):g}"
-            )
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, code: int, text: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(code)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-        )
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt, *args):  # pragma: no cover - quiet by default
-        if getattr(self.server, "verbose", False):
-            super().log_message(fmt, *args)
-
-    def do_GET(self) -> None:
-        split = urllib.parse.urlsplit(self.path)
-        if split.path == "/metrics":
-            fmt = urllib.parse.parse_qs(split.query).get("format", [""])[0]
-            if fmt == "prometheus":
-                self._reply_text(200, self.server.router.prometheus())
-            else:
-                self._reply(200, self.server.router.metrics())
-        elif split.path == "/healthz":
-            ready, payload = self.server.router.health()
-            self._reply(200 if ready else 503, payload)
-        else:
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-
-    def do_POST(self) -> None:
-        if urllib.parse.urlsplit(self.path).path != "/partition":
-            self._reply(404, {"error": f"unknown path {self.path!r}"})
-            return
-        router = self.server.router
-        trace = (
-            router.tracer.start(trace_id=self.headers.get(TRACE_HEADER))
-            if router.tracer.enabled
-            else None
-        )
-        echo = {} if trace is None else {TRACE_HEADER: trace.trace_id}
-        status = 200
-        try:
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-                if length < 0:
-                    status = 400
-                    self._reply(400, {"error": "bad Content-Length"}, headers=echo)
-                    return
-                if length > _MAX_BODY_BYTES:
-                    status = 413
-                    self._reply(
-                        413,
-                        {"error": f"request body over {_MAX_BODY_BYTES} bytes"},
-                        headers=echo,
-                    )
-                    return
-                payload = json.loads(self.rfile.read(length) or b"{}")
-                status, reply = router.handle_partition(payload, trace=trace)
-            except (json.JSONDecodeError, ValueError, TypeError) as exc:
-                status = 400
-                self._reply(400, {"error": f"bad request: {exc}"}, headers=echo)
-                return
-            except Exception as exc:  # noqa: BLE001 - surface, don't drop
-                status = 500
-                self._reply(500, {"error": f"internal error: {exc!r}"}, headers=echo)
-                return
-            self._reply(status, reply, headers=echo)
-        finally:
-            if trace is not None:
-                router.tracer.finish(trace, status=status)
-
-
-class RouterServer:
-    """HTTP front for a :class:`ShardRouter` (mirrors
-    :class:`repro.serve.server.PartitionServer`'s lifecycle API)."""
-
-    def __init__(
-        self,
-        router: ShardRouter,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        verbose: bool = False,
-    ):
-        self.router = router
-        self._httpd = ThreadingHTTPServer((host, port), _RouterHandler)
-        self._httpd.router = router
-        self._httpd.verbose = verbose
-        self._thread: "threading.Thread | None" = None
-
-    @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return int(self._httpd.server_address[1])
-
-    def start(self) -> "RouterServer":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-route-http",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever()
-
-    def shutdown(self) -> None:
-        if self._thread is not None:
-            self._httpd.shutdown()
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self._httpd.server_close()
-
-    def __enter__(self) -> "RouterServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

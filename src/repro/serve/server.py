@@ -1,38 +1,39 @@
-"""Stdlib HTTP/JSON endpoint over :class:`PartitionService`.
+"""The one stdlib HTTP/JSON front, for a shard and for the router.
+
+:class:`PartitionServer` serves an *app*: a shard (:class:`ShardApp`, a
+:class:`PartitionService` plus its graph resolver) or a
+:class:`repro.serve.router.ShardRouter`.  An app exposes
+``handle_partition(payload, trace=None, source=None) -> (status, reply)``,
+``metrics()``, ``prometheus()``, ``health() -> (ready, payload)``, a
+``tracer``, and its ``Server`` header as the class constant
+``server_version`` (``repro-serve/1`` or ``repro-route/1``).
 
 Endpoints
 ---------
 ``POST /partition``
-    Body: a JSON request (see :func:`request_from_payload`).  The graph is
-    either a zoo name (string, resolved server-side) or an inline
+    Body: a JSON request (see :func:`request_from_payload`); the graph is a
+    zoo name (resolved server-side) or an inline
     :func:`repro.graphs.serialization.graph_to_dict` dict.  Reply: the
     partition, its improvement, and cache provenance.
 ``GET /metrics``
-    The service metrics snapshot (hit rate, per-source p50/p95/p99
-    latency, requests served).  ``?format=prometheus`` renders the same
+    The app's metrics snapshot; ``?format=prometheus`` renders the same
     registry as Prometheus text exposition.
 ``GET /healthz``
-    Readiness probe: shard id, uptime, registry version count, in-flight
-    load, registry reachability, recent degraded-serve count; 503 when
-    saturated or the configured registry root is unreachable (alive but
-    unable to take work).
+    Readiness probe; 503 when the app is alive but unable to take work.
 
-Tracing: when the service was built with ``trace_dir``, every ``POST
-/partition`` opens a trace (adopting the client's ``X-Repro-Trace`` id
-when the header is present — such requests are always sampled) and echoes
-the trace id back in the same header for correlation with the JSONL sink.
+The front owns what both apps share: body framing (400/413), the 400 on
+bad JSON, the 404, the last-resort 500, and the ``server``-site drop
+fault.  With tracing configured, every ``POST /partition`` opens a trace
+(adopting the client's ``X-Repro-Trace`` id, which forces sampling) and
+echoes its id in the same header for correlation with the JSONL sink.
 
-The server is a ``ThreadingHTTPServer``; the service underneath serialises
-submissions with its own lock, so concurrent clients are safe.  Client-side
-helpers (:func:`request_partition`, :func:`fetch_metrics`) wrap ``urllib``
-so the CLI's ``repro request`` needs no third-party HTTP stack.
-
-Backpressure & retries: the service's admission gate surfaces here as HTTP
-429 with a ``Retry-After`` header (503 is reserved for the server's own
-shutdown window).  The client helpers take a ``retries`` budget and back
-off exponentially with jitter on 429/503/connection failures, honouring
-``Retry-After`` — so a burst against a bounded server drains instead of
-failing, without a thundering-herd retry spike.
+Backpressure & retries: a 429 or 503 reply whose body carries
+``retry_after_s`` is sent with a ``Retry-After`` header (a shard's full
+admission gate; a router with every replica down and no fallback).  The
+client helpers (:func:`request_partition`, :func:`fetch_metrics`) wrap
+``urllib`` and back off exponentially with jitter on 429/503/connection
+failures, honouring ``Retry-After`` — so a burst against a bounded server
+drains instead of failing, without a thundering-herd retry spike.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ _BACKOFF_CAP_S = 4.0
 #: Upper bound on an inline-graph request body (a graph_to_dict of a
 #: 100k-node graph is ~20 MB; anything bigger is a framing error or abuse).
 _MAX_BODY_BYTES = 64 * 2**20
+
+#: How often ``serve_forever`` checks for :meth:`PartitionServer.shutdown`
+#: (socketserver's default of 0.5 s made every shutdown wait that long).
+_POLL_INTERVAL_S = 0.05
 
 
 def request_from_payload(
@@ -166,10 +171,49 @@ def response_to_payload(response) -> dict:
     }
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests to the server's service; JSON in, JSON out."""
+class ShardApp:
+    """The shard behind the front: one :class:`PartitionService` plus the
+    resolver for graphs sent by zoo name.
+
+    Refusals map onto status codes here: admission backpressure is a 429
+    whose ``retry_after_s`` the front turns into ``Retry-After``; any other
+    :class:`ServiceError` is a 422.  ``trace`` is unused — the front has
+    already activated it on the handler thread, where the service's spans
+    find it.
+    """
 
     server_version = "repro-serve/1"
+
+    def __init__(self, service: PartitionService, graph_resolver=None):
+        self.service = service
+        self.graph_resolver = graph_resolver
+        self.tracer = service.tracer
+        self.metrics = service.metrics
+        self.prometheus = service.prometheus
+        self.health = service.health
+
+    def handle_partition(
+        self, payload: dict, trace=None, source: "str | None" = None
+    ) -> "tuple[int, dict]":
+        try:
+            request = request_from_payload(
+                payload, graph_resolver=self.graph_resolver
+            )
+            response = self.service.submit(request, source=source)
+        except ServiceOverloadError as exc:
+            # Structured backpressure, not a failure: the client helpers
+            # sleep Retry-After (± backoff) and resubmit.
+            return 429, {"error": str(exc), "retry_after_s": exc.retry_after}
+        except ServiceError as exc:
+            return 422, {"error": str(exc)}
+        return 200, response_to_payload(response)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Routes requests to the server's app; JSON in, JSON out."""
+
+    def version_string(self) -> str:
+        return f"{self.server.app.server_version} {self.sys_version}"
 
     def _reply(
         self, code: int, payload: dict, headers: "dict | None" = None
@@ -178,6 +222,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if code in (429, 503) and "retry_after_s" in payload:
+            self.send_header(
+                "Retry-After", f"{max(payload['retry_after_s'], 0):g}"
+            )
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -196,7 +244,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _drop_fault(self) -> bool:
         """Injected connection drop (chaos tests of the client's retry
         path): close the socket without a reply, like a crashed peer."""
-        plan = getattr(self.server, "fault_plan", None)
+        plan = self.server.fault_plan
         if plan is None or plan.fire("server", "drop", (self.path,)) is None:
             return False
         self.close_connection = True
@@ -207,25 +255,25 @@ class _Handler(BaseHTTPRequestHandler):
         return True
 
     def log_message(self, fmt, *args):  # pragma: no cover - quiet by default
-        if getattr(self.server, "verbose", False):
+        if self.server.verbose:
             super().log_message(fmt, *args)
 
     def do_GET(self) -> None:
         if self._drop_fault():
             return
+        app = self.server.app
         split = urllib.parse.urlsplit(self.path)
         if split.path == "/metrics":
             fmt = urllib.parse.parse_qs(split.query).get("format", [""])[0]
             if fmt == "prometheus":
-                self._reply_text(200, self.server.service.prometheus())
+                self._reply_text(200, app.prometheus())
             else:
-                self._reply(200, self.server.service.metrics())
+                self._reply(200, app.metrics())
         elif split.path == "/healthz":
-            # Readiness, not just liveness: 503 when the service is alive
-            # but cannot usefully take work (admission gate full, or a
-            # configured checkpoint registry has gone unreachable), so
-            # routers/orchestrators can drain it instead of timing out.
-            ready, payload = self.server.service.health()
+            # Readiness, not just liveness: 503 when the app is alive but
+            # cannot usefully take work, so routers/orchestrators can drain
+            # it instead of timing out.
+            ready, payload = app.health()
             self._reply(200 if ready else 503, payload)
         else:
             self._reply(404, {"error": f"unknown path {self.path!r}"})
@@ -236,85 +284,69 @@ class _Handler(BaseHTTPRequestHandler):
         if urllib.parse.urlsplit(self.path).path != "/partition":
             self._reply(404, {"error": f"unknown path {self.path!r}"})
             return
-        # One trace per POST when the service has tracing configured: a
+        # One trace per POST when the app has tracing configured: a
         # client-supplied X-Repro-Trace id is adopted (and forces
         # sampling), otherwise a fresh id is minted; either way the id is
         # echoed back in the same header so the reply correlates with the
         # JSONL sink.
-        tracer = self.server.service.tracer
+        tracer = self.server.app.tracer
         trace = (
             tracer.start(trace_id=self.headers.get(TRACE_HEADER))
             if tracer.enabled
             else None
         )
-        echo = {} if trace is None else {TRACE_HEADER: trace.trace_id}
         # Only pay for span recording when the trace can actually be kept:
         # an unsampled trace with no slow-force threshold is write-never,
         # so the service path stays on the shared no-op span.
         record = trace is not None and (trace.sampled or tracer.slow_ms > 0)
         token = activate(trace) if record else None
-        status = 200
+        status = 500
         try:
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-                # Never trust the client's framing: a negative length would
-                # turn read() into read-until-EOF (a thread wedged on a held
-                # connection), an absurd one into unbounded buffering.
-                if length < 0:
-                    status = 400
-                    self._reply(400, {"error": "bad Content-Length"}, headers=echo)
-                    return
-                if length > _MAX_BODY_BYTES:
-                    status = 413
-                    self._reply(
-                        413,
-                        {"error": f"request body over {_MAX_BODY_BYTES} bytes"},
-                        headers=echo,
-                    )
-                    return
-                payload = json.loads(self.rfile.read(length) or b"{}")
-                request = request_from_payload(
-                    payload, graph_resolver=self.server.graph_resolver
-                )
-                # Client source id for per-source rate limiting: an explicit
-                # header wins (routers/proxies forward the original client);
-                # otherwise the peer address identifies the source.
-                source = self.headers.get("X-Repro-Source") or self.client_address[0]
-                response = self.server.service.submit(request, source=source)
-            except ServiceOverloadError as exc:
-                # Structured backpressure, not a failure: the client helpers
-                # sleep Retry-After (± backoff) and resubmit.
-                status = 429
-                self._reply(
-                    429,
-                    {"error": str(exc), "retry_after_s": exc.retry_after},
-                    headers={
-                        "Retry-After": f"{max(exc.retry_after, 0):g}", **echo
-                    },
-                )
-                return
-            except ServiceError as exc:
-                status = 422
-                self._reply(422, {"error": str(exc)}, headers=echo)
-                return
-            except (json.JSONDecodeError, ValueError, TypeError) as exc:
-                status = 400
-                self._reply(400, {"error": f"bad request: {exc}"}, headers=echo)
-                return
-            except Exception as exc:  # noqa: BLE001 - last-resort: a handler
-                # crash must surface as an HTTP error, not a dropped connection.
-                status = 500
-                self._reply(500, {"error": f"internal error: {exc!r}"}, headers=echo)
-                return
-            self._reply(200, response_to_payload(response), headers=echo)
+            status, reply = self._partition(trace)
+            self._reply(
+                status,
+                reply,
+                headers=None if trace is None else {TRACE_HEADER: trace.trace_id},
+            )
         finally:
             deactivate(token)
             if trace is not None:
                 tracer.finish(trace, status=status)
 
+    def _partition(self, trace) -> "tuple[int, dict]":
+        """``(status, reply)`` for this POST's body; never raises."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+            # Never trust the client's framing: a negative length would
+            # turn read() into read-until-EOF (a thread wedged on a held
+            # connection), an absurd one into unbounded buffering.
+            if length < 0:
+                return 400, {"error": "bad Content-Length"}
+            if length > _MAX_BODY_BYTES:
+                return 413, {"error": f"request body over {_MAX_BODY_BYTES} bytes"}
+            payload = json.loads(self.rfile.read(length) or b"{}")
+            # Client source id for per-source rate limiting: an explicit
+            # header wins (routers/proxies forward the original client);
+            # otherwise the peer address identifies the source.
+            source = self.headers.get("X-Repro-Source") or self.client_address[0]
+            return self.server.app.handle_partition(
+                payload, trace=trace, source=source
+            )
+        except (json.JSONDecodeError, ValueError, TypeError) as exc:
+            return 400, {"error": f"bad request: {exc}"}
+        except Exception as exc:  # noqa: BLE001 - last-resort: a handler
+            # crash must surface as an HTTP error, not a dropped connection.
+            return 500, {"error": f"internal error: {exc!r}"}
+
 
 class PartitionServer:
-    """A :class:`ThreadingHTTPServer` bound to one service.
+    """The HTTP front for one app: a shard or a router.
+
+    ``app`` is a :class:`repro.serve.router.ShardRouter` or a
+    :class:`PartitionService`.  A service is served as a shard
+    (:class:`ShardApp`) that resolves graph names with ``graph_resolver``
+    and, unless ``fault_plan`` is given, takes its ``server``-site drop
+    faults from its own plan.
 
     ``port=0`` binds an ephemeral port; read :attr:`port` after
     construction.  ``start()`` serves in a daemon thread (tests, CLI
@@ -327,7 +359,7 @@ class PartitionServer:
 
     def __init__(
         self,
-        service: PartitionService,
+        app,
         host: str = "127.0.0.1",
         port: int = 0,
         graph_resolver=None,
@@ -335,17 +367,16 @@ class PartitionServer:
         threaded: bool = True,
         fault_plan=None,
     ):
-        self.service = service
+        if isinstance(app, PartitionService):
+            if fault_plan is None:
+                fault_plan = app.config.fault_plan
+            app = ShardApp(app, graph_resolver=graph_resolver)
+        self.app = app
         server_cls = ThreadingHTTPServer if threaded else HTTPServer
         self._httpd = server_cls((host, port), _Handler)
-        self._httpd.service = service
-        self._httpd.graph_resolver = graph_resolver
+        self._httpd.app = app
         self._httpd.verbose = verbose
-        # The HTTP layer shares the service's plan unless given its own
-        # (the ``server``-site drop faults are consulted per request).
-        self._httpd.fault_plan = (
-            fault_plan if fault_plan is not None else service.config.fault_plan
-        )
+        self._httpd.fault_plan = fault_plan
         self._thread: "threading.Thread | None" = None
 
     @property
@@ -359,16 +390,14 @@ class PartitionServer:
     def start(self) -> "PartitionServer":
         """Serve in a background daemon thread; returns self."""
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-serve-http",
-            daemon=True,
+            target=self.serve_forever, name="repro-serve-http", daemon=True
         )
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown`."""
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(poll_interval=_POLL_INTERVAL_S)
 
     def handle_request(self) -> None:
         """Serve exactly one request (the CLI's ``--max-requests`` loop)."""

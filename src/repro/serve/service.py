@@ -60,7 +60,7 @@ import numpy as np
 
 from repro.core.baselines import greedy_partition
 from repro.core.environment import PartitionEnvironment
-from repro.obs.metrics import Histogram, MetricsRegistry, prometheus_from_snapshot
+from repro.obs.metrics import MetricsRegistry, prometheus_from_snapshot
 from repro.obs.trace import Tracer, span
 from repro.core.partitioner import RLPartitionerConfig, _topology_semantics
 from repro.nn.backend import SERVE_PRECISIONS
@@ -411,17 +411,6 @@ class ServiceMetrics:
         for wait in waits_ms:
             self._batch_wait_ms.observe(float(wait))
 
-    @staticmethod
-    def _percentiles(hist: Histogram) -> dict:
-        if hist.count == 0:
-            return {"count": 0, "p50_ms": None, "p95_ms": None}
-        return {
-            "count": hist.count,
-            "p50_ms": hist.percentile(50),
-            "p95_ms": hist.percentile(95),
-            "p99_ms": hist.percentile(99),
-        }
-
     def snapshot(self) -> dict:
         uptime = max(time.perf_counter() - self.started, 1e-9)
         requests_total = self._requests_total.value
@@ -436,7 +425,7 @@ class ServiceMetrics:
             "requests_per_sec": requests_total / uptime,
             "by_source": self.by_source,
             "latency_ms": {
-                source: self._percentiles(hist)
+                source: hist.percentiles_ms()
                 for source, hist in self._latency_ms.items()
             },
             "batching": {
@@ -445,7 +434,7 @@ class ServiceMetrics:
                 "batch_size_histogram": {
                     str(k): v for k, v in batch_sizes.items()
                 },
-                "batch_wait_ms": self._percentiles(self._batch_wait_ms),
+                "batch_wait_ms": self._batch_wait_ms.percentiles_ms(),
             },
         }
 

@@ -122,6 +122,22 @@ class TestHistogramAccuracy:
         assert s["count"] == 0
         assert s["p50"] is None and s["p95"] is None and s["p99"] is None
 
+    def test_percentiles_ms_keeps_the_metrics_shapes(self):
+        """The frozen ``/metrics`` latency shape: an empty histogram has no
+        ``p99_ms`` key at all; a non-empty one reports all three."""
+        hist = Histogram("h")
+        assert hist.percentiles_ms() == {
+            "count": 0, "p50_ms": None, "p95_ms": None,
+        }
+        for v in (1.0, 2.0, 40.0):
+            hist.observe(v)
+        assert hist.percentiles_ms() == {
+            "count": 3,
+            "p50_ms": hist.percentile(50),
+            "p95_ms": hist.percentile(95),
+            "p99_ms": hist.percentile(99),
+        }
+
 
 class TestHistogramBoundedMemory:
     def test_one_million_observations_bounded_buckets(self):

@@ -20,12 +20,11 @@ from repro.serve import (
     HashRing,
     PartitionServer,
     RouterConfig,
-    RouterServer,
     ShardEndpoint,
     ShardRouter,
     request_partition,
 )
-from tests.serve.conftest import tiny_service
+from tests.serve.conftest import Cluster
 
 _RESOLVER = {"mlp": build_mlp, "cnn": build_cnn}
 
@@ -38,43 +37,6 @@ def _payload(graph="mlp", chips=4, samples=4, **extra):
     }
     payload.update(extra)
     return payload
-
-
-class _Cluster:
-    """N thread-backed shards plus a router over them (in-process tier-1
-    stand-in for the subprocess deployment)."""
-
-    def __init__(self, n_shards=2, config=None, **shard_overrides):
-        self.servers = []
-        shards = []
-        for i in range(n_shards):
-            srv = PartitionServer(
-                tiny_service(shard_id=f"s{i}", **shard_overrides), port=0
-            ).start()
-            self.servers.append(srv)
-            shards.append(
-                ShardEndpoint(shard_id=f"s{i}", host=srv.host, port=srv.port)
-            )
-        self.router = ShardRouter(
-            shards,
-            config=config
-            or RouterConfig(replication=2, probe_interval_s=0.0),
-        )
-
-    def kill(self, shard_id: str) -> None:
-        """Hard-stop one shard's HTTP server (the in-process 'crash')."""
-        self.servers[int(shard_id[1:])].shutdown()
-
-    def close(self) -> None:
-        self.router.close()
-        for srv in self.servers:
-            srv.shutdown()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 class TestHashRing:
@@ -168,7 +130,7 @@ class TestCircuitBreaker:
 
 class TestRoutingKey:
     def test_same_request_same_replica_set(self):
-        with _Cluster(n_shards=3) as c:
+        with Cluster(n_shards=3) as c:
             k1 = c.router.routing_key(_payload())
             k2 = c.router.routing_key(_payload())
             assert k1 == k2
@@ -177,7 +139,7 @@ class TestRoutingKey:
             )
 
     def test_different_requests_can_differ(self):
-        with _Cluster(n_shards=3) as c:
+        with Cluster(n_shards=3) as c:
             keys = {
                 c.router.routing_key(_payload("mlp")),
                 c.router.routing_key(_payload("cnn")),
@@ -187,7 +149,7 @@ class TestRoutingKey:
             assert len(keys) == 4  # everything result-relevant is folded in
 
     def test_bad_request_is_422_not_routed(self):
-        with _Cluster() as c:
+        with Cluster() as c:
             status, reply = c.router.handle_partition({"chips": 4})
             assert status == 422
             assert "graph" in reply["error"]
@@ -198,7 +160,7 @@ class TestFailover:
     def test_dead_primary_fails_over_bit_identical(self):
         """Kill the *primary* replica: the request still succeeds, from the
         secondary, with the exact same bits a healthy cluster serves."""
-        with _Cluster(n_shards=2) as c:
+        with Cluster(n_shards=2) as c:
             payload = _payload()
             status, healthy_reply = c.router.handle_partition(payload)
             assert status == 200
@@ -214,7 +176,7 @@ class TestFailover:
             assert m["shards"][primary]["failures"] >= 1
 
     def test_consecutive_failures_open_breaker_then_skip(self):
-        with _Cluster(
+        with Cluster(
             n_shards=2,
             config=RouterConfig(
                 replication=2,
@@ -242,7 +204,7 @@ class TestFailover:
             assert c.router.metrics()["failovers"] == failovers_before
 
     def test_probes_open_and_close_breakers(self):
-        with _Cluster(
+        with Cluster(
             n_shards=2,
             config=RouterConfig(
                 replication=2,
@@ -264,7 +226,7 @@ class TestFailover:
     def test_client_error_is_forwarded_not_failed_over(self):
         """A 422 is an answer about the request, not a shard failure: no
         failover (every replica would agree), no breaker damage."""
-        with _Cluster(n_shards=2) as c:
+        with Cluster(n_shards=2) as c:
             status, reply = c.router.handle_partition(
                 _payload(objective="nonsense")
             )
@@ -277,7 +239,7 @@ class TestFailover:
                 assert shard["breaker"]["state"] == "closed"
 
     def test_all_replicas_down_serves_degraded_greedy(self):
-        with _Cluster(n_shards=2) as c:
+        with Cluster(n_shards=2) as c:
             payload = _payload()
             c.kill("s0")
             c.kill("s1")
@@ -299,7 +261,7 @@ class TestHedging:
     def test_stalled_primary_hedge_wins_bit_identical(self):
         """``shard_stall`` wedges the primary; the hedge fires after the
         delay, the secondary answers first, and the bits match a calm run."""
-        with _Cluster(n_shards=2) as c:
+        with Cluster(n_shards=2) as c:
             payload = _payload()
             _, healthy_reply = c.router.handle_partition(payload)
             key = c.router.routing_key(payload)
@@ -330,7 +292,7 @@ class TestHedging:
                 hedged.close()
 
     def test_hedge_disabled_never_fires(self):
-        with _Cluster(
+        with Cluster(
             n_shards=2,
             config=RouterConfig(
                 replication=2, probe_interval_s=0.0, hedge=False
@@ -344,7 +306,7 @@ class TestHedging:
     def test_network_partition_fault_fails_over(self):
         """An injected partition drops the transport without touching the
         process: the router fails over; the shard itself stays healthy."""
-        with _Cluster(n_shards=2) as c:
+        with Cluster(n_shards=2) as c:
             payload = _payload()
             key = c.router.routing_key(payload)
             primary = c.router.ring.replicas(key, 2)[0]
@@ -372,12 +334,12 @@ class TestHedging:
                 cut.close()
 
 
-class TestRouterServer:
+class TestRouterFront:
     def test_wire_compatible_with_shard_clients(self):
         """`request_partition` / `/metrics` / `/healthz` all work against a
         router exactly as they do against a single shard."""
-        with _Cluster(n_shards=2) as c:
-            with RouterServer(c.router, port=0).start() as front:
+        with Cluster(n_shards=2) as c:
+            with PartitionServer(c.router, port=0).start() as front:
                 reply = request_partition(_payload(), port=front.port)
                 assert reply["source"] in ("cold", "cached")
                 with urllib.request.urlopen(
@@ -393,17 +355,6 @@ class TestRouterServer:
                     health = json.loads(resp.read())
                 assert health["ok"] is True
                 assert health["degraded_only"] is False
-
-    def test_unknown_path_404(self):
-        with _Cluster() as c:
-            with RouterServer(c.router, port=0).start() as front:
-                import urllib.error
-
-                with pytest.raises(urllib.error.HTTPError) as err:
-                    urllib.request.urlopen(
-                        f"http://127.0.0.1:{front.port}/nope", timeout=30
-                    )
-                assert err.value.code == 404
 
 
 class TestConfigValidation:
@@ -507,7 +458,7 @@ class TestChaosSubprocessShards:
         )
         router = self._spawn_router(fault_plan=plan)
         try:
-            with RouterServer(router, port=0).start() as front:
+            with PartitionServer(router, port=0).start() as front:
                 for _ in range(4):
                     reply = request_partition(_payload(), port=front.port)
                     assert not reply.get("degraded")

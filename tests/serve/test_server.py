@@ -1,6 +1,11 @@
-"""HTTP endpoint: JSON roundtrips, cache provenance, metrics, error codes."""
+"""HTTP front: JSON roundtrips, cache provenance, metrics, error codes.
+
+The ``server`` fixture runs every wire-level case against both apps the
+front serves: a shard, and a router over two thread-backed shards.
+"""
 
 import json
+import time
 import urllib.error
 import urllib.request
 
@@ -11,23 +16,45 @@ from repro.graphs.serialization import graph_to_dict
 from repro.graphs.zoo import build_cnn, build_mlp
 from repro.serve import (
     PartitionServer,
+    RouterConfig,
     ServiceError,
+    ShardRouter,
     fetch_metrics,
     request_partition,
 )
-from tests.serve.conftest import tiny_service
+from tests.serve.conftest import Cluster, tiny_service
 
 _RESOLVER = {"mlp": build_mlp, "cnn": build_cnn}
 
 
+def _resolve(name):
+    return _RESOLVER[name]()
+
+
+def _router_config(**overrides):
+    # No hedging: a repeated request must reach the same (now warm)
+    # primary, so cache provenance is deterministic through the router.
+    kwargs = dict(replication=2, probe_interval_s=0.0, hedge=False)
+    kwargs.update(overrides)
+    return RouterConfig(**kwargs)
+
+
 @pytest.fixture
-def server():
+def shard_server():
     with PartitionServer(
-        tiny_service(),
-        port=0,
-        graph_resolver=lambda name: _RESOLVER[name](),
+        tiny_service(), port=0, graph_resolver=_resolve
     ).start() as srv:
         yield srv
+
+
+@pytest.fixture(params=["shard", "router"])
+def server(request):
+    if request.param == "shard":
+        yield request.getfixturevalue("shard_server")
+        return
+    with Cluster(config=_router_config(), graph_resolver=_resolve) as cluster:
+        with PartitionServer(cluster.router, port=0).start() as srv:
+            yield srv
 
 
 class TestPartitionEndpoint:
@@ -76,19 +103,19 @@ class TestPartitionEndpoint:
 
 
 class TestMetricsEndpoint:
-    def test_counters_over_http(self, server):
-        request_partition({"graph": "mlp", "chips": 4}, port=server.port)
-        request_partition({"graph": "mlp", "chips": 4}, port=server.port)
-        metrics = fetch_metrics(port=server.port)
+    def test_counters_over_http(self, shard_server):
+        request_partition({"graph": "mlp", "chips": 4}, port=shard_server.port)
+        request_partition({"graph": "mlp", "chips": 4}, port=shard_server.port)
+        metrics = fetch_metrics(port=shard_server.port)
         assert metrics["requests_total"] == 2
         assert metrics["cache"]["hits"] == 1
         assert metrics["cache"]["misses"] == 1
         assert metrics["latency_ms"]["cached"]["count"] == 1
 
-    def test_healthz(self, server):
+    def test_healthz(self, shard_server):
         """Readiness probe: load, registry reachability, degraded counts."""
         with urllib.request.urlopen(
-            f"http://127.0.0.1:{server.port}/healthz", timeout=30
+            f"http://127.0.0.1:{shard_server.port}/healthz", timeout=30
         ) as resp:
             payload = json.loads(resp.read())
         assert payload["ok"] is True
@@ -251,3 +278,76 @@ class TestErrorHandling:
         server = PartitionServer(tiny_service(), port=0).start()
         server.shutdown()
         server.shutdown()
+
+    def test_server_header_names_the_app(self, server):
+        expected = (
+            "repro-route/1"
+            if isinstance(server.app, ShardRouter)
+            else "repro-serve/1"
+        )
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{server.port}/healthz", timeout=30
+        ) as resp:
+            assert resp.headers["Server"].split()[0] == expected
+
+
+class TestRouterFront:
+    def test_failed_fallback_is_503_with_retry_after(self):
+        """Every shard down and the greedy fallback refusing the request:
+        503, with ``Retry-After`` equal to the breaker reset window."""
+        config = _router_config(breaker_reset_s=7.5)
+        with Cluster(config=config, graph_resolver=_resolve) as cluster:
+            cluster.kill("s0")
+            cluster.kill("s1")
+            with PartitionServer(cluster.router, port=0).start() as front:
+                req = urllib.request.Request(
+                    f"http://127.0.0.1:{front.port}/partition",
+                    # The router accepts any objective string; building
+                    # the fallback's environment is what refuses it.
+                    data=json.dumps(
+                        {"graph": "mlp", "objective": "nonsense"}
+                    ).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(req, timeout=30)
+                assert err.value.code == 503
+                assert err.value.headers["Retry-After"] == "7.5"
+                reply = json.loads(err.value.read())
+        assert reply["retry_after_s"] == 7.5
+        assert "degraded fallback failed" in reply["error"]
+        assert cluster.router.metrics()["all_replicas_down"] == 1
+
+    def test_trace_header_echoed_and_spans_written(self, tmp_path):
+        from repro.obs.trace import TRACE_HEADER
+
+        config = _router_config(trace_dir=str(tmp_path))
+        with Cluster(config=config, graph_resolver=_resolve) as cluster:
+            with PartitionServer(cluster.router, port=0).start() as front:
+                req = urllib.request.Request(
+                    f"http://127.0.0.1:{front.port}/partition",
+                    data=json.dumps({"graph": "mlp", "chips": 4}).encode(),
+                    headers={
+                        "Content-Type": "application/json",
+                        TRACE_HEADER: "router-front-trace-01",
+                    },
+                )
+                with urllib.request.urlopen(req, timeout=30) as resp:
+                    assert resp.headers[TRACE_HEADER] == "router-front-trace-01"
+                # The handler finishes the trace after replying: poll the
+                # asynchronous JSONL sink until the row lands.
+                deadline = time.monotonic() + 10.0
+                rows = []
+                while not rows and time.monotonic() < deadline:
+                    cluster.router.tracer.flush(timeout=1.0)
+                    rows = [
+                        json.loads(line)
+                        for path in tmp_path.glob("*.jsonl")
+                        for line in path.read_text().splitlines()
+                    ]
+        assert [r["trace_id"] for r in rows] == ["router-front-trace-01"]
+        spans = rows[0]["spans"]
+        assert [sp["name"] for sp in spans] == [
+            "request", "router.routing", "router.attempt",
+        ]
+        assert spans[0]["attrs"] == {"status": 200}
