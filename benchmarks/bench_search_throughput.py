@@ -33,7 +33,11 @@ if __package__ in (None, ""):
 
 import os
 
-from repro.bench.harness import bench_scale, interleaved_medians
+from repro.bench.harness import (
+    bench_scale,
+    blas_thread_counts,
+    interleaved_medians,
+)
 from repro.obs.profile import PhaseTimer
 from repro.core.environment import PartitionEnvironment
 from repro.core.partitioner import RLPartitioner, RLPartitionerConfig
@@ -309,6 +313,7 @@ def bench_workers_sweep(graphs, scale, worker_counts, n_repeats: int) -> dict:
     }
     return {
         "cpu_count": os.cpu_count(),
+        "blas_threads": blas_thread_counts(worker_counts),
         "worker_counts": list(worker_counts),
         "n_repeats": n_repeats,
         "budgets": {
@@ -556,7 +561,8 @@ def main(argv=None) -> dict:
         )
     if "parallel" in results:
         par = results["parallel"]
-        print(f"workers sweep (cpus={par['cpu_count']}, medians of "
+        print(f"workers sweep (cpus={par['cpu_count']}, BLAS threads "
+              f"{par['blas_threads']}, medians of "
               f"{par['n_repeats']} interleaved runs):")
         for loop, cells in par["sweep"].items():
             row = "  ".join(

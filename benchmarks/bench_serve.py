@@ -62,6 +62,7 @@ if __package__ in (None, ""):
 
 import numpy as np
 
+from repro.bench.harness import blas_thread_counts
 from repro.core.partitioner import RLPartitioner, RLPartitionerConfig
 from repro.graphs.zoo import build_dataset
 from repro.obs import latency_summary
@@ -488,6 +489,7 @@ def bench_router(graphs, n_requests: int) -> dict:
                 status, reply = router.handle_partition(payload)
                 latencies_ms.append((time.perf_counter() - start) * 1e3)
                 assert status == 200 and not reply.get("degraded")
+            router.probe_all()
             metrics = router.metrics()
             rows[name] = {
                 **latency_summary(latencies_ms),
@@ -497,6 +499,10 @@ def bench_router(graphs, n_requests: int) -> dict:
                 "hedges_fired": metrics["hedges_fired"],
                 "hedge_wins": metrics["hedge_wins"],
                 "degraded_serves": metrics["degraded_serves"],
+                "shard_blas_threads": {
+                    sid: shard["health"]["shard"].get("blas_threads")
+                    for sid, shard in metrics["shards"].items()
+                },
             }
         finally:
             router.close()
@@ -592,6 +598,8 @@ def main(argv=None) -> dict:
         "bench": "serve",
         "tiny": tiny,
         "cpu_count": os.cpu_count(),
+        # The coalescing rows run n_workers=2 services.
+        "blas_threads": blas_thread_counts((2,)),
         "n_chips": N_CHIPS,
         "samples_per_miss": SAMPLES,
         "checkpoint": "bench@1",

@@ -15,6 +15,15 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== float64 contract under a pinned BLAS thread count =="
+# A forked pool runs its parent at a share of the cores while the inline
+# fallback keeps the process count (repro.utils.threads), so the float64
+# serial goldens and the pool's determinism must not depend on the count.
+# If this ever fails, the count becomes part of the frozen float64
+# contract and is documented; the tests are not loosened.
+timeout --kill-after=30 300 env OPENBLAS_NUM_THREADS=1 \
+    python -m pytest -q tests/core/test_serial_goldens.py tests/parallel/
+
 echo "== throughput bench (tiny smoke, 2-worker pool) =="
 timeout --kill-after=30 300 \
     python benchmarks/bench_search_throughput.py --tiny --workers 2

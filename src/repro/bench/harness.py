@@ -17,6 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.baselines import SearchResult
+from repro.parallel.search import ParallelConfig, make_executor
+from repro.utils.threads import blas_threads
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,22 @@ def interleaved_medians(
         name: {"runs": values, "median": float(np.median(values))}
         for name, values in record.items()
     }
+
+
+def blas_thread_counts(worker_counts: "Sequence[int]") -> dict:
+    """The parent's BLAS thread count inside an executor of each worker
+    count (``in_pool``) and after it has closed (``after``).
+
+    Bench rows record it next to ``cpu_count``: a forked pool pins its
+    parent to a share of the cores while it is open (see
+    :mod:`repro.utils.threads`), so the count outside a pool says nothing
+    about the count the parallel rows ran at.
+    """
+    in_pool = {}
+    for w in worker_counts:
+        with make_executor(None, [], [], ParallelConfig(n_workers=w)):
+            in_pool[f"workers{w}"] = blas_threads()
+    return {"in_pool": in_pool, "after": blas_threads()}
 
 
 def geomean_curves(curves: "Sequence[MethodCurve]", method: str) -> np.ndarray:

@@ -35,6 +35,14 @@ in the orchestrating process: it is the serial fallback for ``--workers 1``
 style runs of the *parallel* code path, and the reference implementation the
 determinism tests compare the pool against.  (It has no processes, so pool
 faults and supervision do not apply to it.)
+
+Thread budget: a pool holds a :class:`repro.utils.threads.BlasBudget` of
+``cpu_budget(n_workers + 1)`` from before its first fork until
+:meth:`WorkerPool.close`, so the parent's PPO updates and every forked or
+respawned worker share the cores instead of each starting one BLAS thread
+per core.  The inline executor keeps the process's count; the determinism
+suites, which compare the two, also run under ``OPENBLAS_NUM_THREADS=1``
+in ``scripts/ci_check.sh``.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from multiprocessing.connection import wait as _connection_wait
 import numpy as np
 
 from repro.obs.metrics import Counter, Histogram
+from repro.utils.threads import BlasBudget, cpu_budget
 
 _DEFAULT_TIMEOUT = 600.0
 
@@ -338,8 +347,14 @@ class WorkerPool:
         # a half-written pipe.
         self._send_lock = threading.Lock()
         self._sendq: "queue.SimpleQueue" = queue.SimpleQueue()
-        for w in range(n_workers):
-            self._spawn(w)
+        # Pinned before the first fork: workers inherit the parent's count.
+        self._blas = BlasBudget(cpu_budget(n_workers + 1)).acquire()
+        try:
+            for w in range(n_workers):
+                self._spawn(w)
+        except BaseException:
+            self._blas.release()
+            raise
         self._sender = threading.Thread(
             target=self._send_loop, daemon=True, name="repro-pool-sender"
         )
@@ -543,6 +558,7 @@ class WorkerPool:
                 conn.close()
             except OSError:
                 pass
+        self._blas.release()
 
     def __enter__(self) -> "WorkerPool":
         return self

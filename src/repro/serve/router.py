@@ -68,6 +68,7 @@ from repro.serve.service import (
     ServiceError,
     greedy_fallback,
 )
+from repro.utils.threads import cpu_budget, explicit_thread_env
 
 #: Successful-request latencies retained for the hedge-delay percentile.
 _HEDGE_WINDOW = 256
@@ -333,6 +334,7 @@ def spawn_shard(
     trace_slow_ms: float = 0.0,
     extra_args: tuple = (),
     startup_timeout_s: float = 60.0,
+    blas_threads: "int | None" = None,
 ) -> ShardEndpoint:
     """Spawn one ``repro serve`` process on an ephemeral port.
 
@@ -344,6 +346,8 @@ def spawn_shard(
     ``batch_window_ms``/``batch_max_size`` enable admission coalescing on
     the shard (composition-invariant, so safe to vary per shard — but a
     uniform window keeps tail latencies comparable across the ring).
+    ``blas_threads`` becomes the shard's ``OPENBLAS_NUM_THREADS`` unless
+    this process's environment already pins a thread count.
     """
     cmd = [
         sys.executable, "-m", "repro", "serve",
@@ -379,6 +383,8 @@ def spawn_shard(
     env["PYTHONPATH"] = (
         src_root + (os.pathsep + existing if existing else "")
     )
+    if blas_threads is not None and not explicit_thread_env(env):
+        env["OPENBLAS_NUM_THREADS"] = str(int(blas_threads))
     proc = subprocess.Popen(
         cmd,
         stdout=subprocess.PIPE,
@@ -638,9 +644,11 @@ class ShardRouter:
         The spawned processes are owned: :meth:`close` terminates them.
         Every shard gets the same seed, sample budget, precision, and
         coalescing window (replica interchangeability — see
-        :func:`spawn_shard`).
+        :func:`spawn_shard`), and an equal share of the cores as its BLAS
+        thread count.
         """
         config = config or RouterConfig()
+        blas_threads = cpu_budget(n_shards)
         shards: "list[ShardEndpoint]" = []
         try:
             for i in range(int(n_shards)):
@@ -658,6 +666,7 @@ class ShardRouter:
                         trace_dir=config.trace_dir,
                         trace_sample=config.trace_sample,
                         trace_slow_ms=config.trace_slow_ms,
+                        blas_threads=blas_threads,
                     )
                 )
         except Exception:

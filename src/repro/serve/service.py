@@ -83,6 +83,7 @@ from repro.serve.registry import (
     WarmPartitionerPool,
     default_serving_config,
 )
+from repro.utils.threads import blas_threads
 
 #: Seed-key tag namespacing serving replays (0/1 are the training pool's).
 SERVE_SEED_TAG = 2
@@ -1218,6 +1219,8 @@ class PartitionService:
         healthy shard from one that is alive but limping on fallbacks, and
         ``shard_id`` / ``registry_versions`` / ``uptime_s`` make one probe
         log line attributable without a second ``/metrics`` scrape.
+        ``blas_threads`` is the effective OpenBLAS thread count (``None``
+        when numpy's bundled OpenBLAS is not found).
         """
         limit = self.config.max_in_flight
         in_flight = self._in_flight
@@ -1244,6 +1247,7 @@ class PartitionService:
             "registry_ok": registry_ok,
             "registry_versions": registry_versions,
             "degraded_recent": self.metrics_state.degraded_recent(60.0),
+            "blas_threads": blas_threads(),
         }
         return ready, payload
 

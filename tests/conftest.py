@@ -11,6 +11,7 @@ from repro.graphs.graph import CompGraph
 from repro.graphs.ops import OpType
 from repro.hardware.chip import ChipSpec
 from repro.hardware.package import MCMPackage
+from repro.utils import threads
 
 
 @pytest.fixture
@@ -79,3 +80,17 @@ dag_params = st.tuples(
     st.integers(min_value=0, max_value=10_000),  # seed
     st.integers(min_value=2, max_value=40),      # nodes
 )
+
+
+@pytest.fixture
+def blas_at_4(monkeypatch):
+    """OpenBLAS at 4 threads with no thread variable in the environment,
+    so a budget's lowering is observable; the count is restored after."""
+    if threads.blas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    for name in threads.THREAD_ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    before = threads.blas_threads()
+    threads.set_blas_threads(4)
+    yield 4
+    threads.set_blas_threads(before)

@@ -1,5 +1,7 @@
 """Unit tests for the worker-pool primitives."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,10 @@ from repro.parallel import (
     task_rng,
 )
 from repro.parallel.search import shard_sizes, window_sizes
+from repro.reliability import Fault, FaultPlan
 from repro.rl.features import featurize
 from repro.rl.ppo import PPOConfig
+from repro.utils.threads import blas_threads, cpu_budget
 from tests.conftest import random_dag
 
 N_CHIPS = 3
@@ -168,3 +172,77 @@ class TestWorkerPool:
         pool = WorkerPool(partitioner, [env], [feats], n_workers=2)
         pool.close()
         pool.close()
+
+
+class _ReportsBlasThreads:
+    """Stands in for the partitioner: a shard reports the worker's count."""
+
+    def draw_window(self, env, size, rng, train, use_solver, features):
+        return SimpleNamespace(
+            rollouts=[blas_threads()],
+            improvements=np.zeros(0),
+            best_assignment=None,
+            best_improvement=0.0,
+        )
+
+
+def _count_task(window=0):
+    return ShardTask(
+        task_id=(window, 0), graph_idx=0, size=1, train=False,
+        use_solver=False, seed=(0, 0, window, 0),
+    )
+
+
+def _worker_count(pool, worker=0, window=0):
+    pool.submit(worker, "shard", _count_task(window))
+    kind, result = pool.recv_any()
+    assert kind == "shard"
+    return result.rollouts[0]
+
+
+@pytest.mark.skipif(not fork_available(), reason="fork start method required")
+class TestPoolThreadBudget:
+    """The parent is pinned to ``cpu_budget(n_workers + 1)`` before the
+    first fork, workers inherit it, and ``close`` restores the count."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_forked_workers_read_the_pinned_count(self, blas_at_4, n_workers):
+        pinned = min(blas_at_4, cpu_budget(n_workers + 1))
+        with WorkerPool(
+            _ReportsBlasThreads(), [None], [None], n_workers=n_workers
+        ) as pool:
+            assert blas_threads() == pinned
+            for w in range(n_workers):
+                assert _worker_count(pool, worker=w, window=w) == pinned
+        assert blas_threads() == blas_at_4
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_close_restores_the_parent_count(self, blas_at_4, force):
+        pool = WorkerPool(_ReportsBlasThreads(), [None], [None], n_workers=2)
+        assert blas_threads() == min(blas_at_4, cpu_budget(3))
+        pool.close(force=force)
+        assert blas_threads() == blas_at_4
+        pool.close()
+        assert blas_threads() == blas_at_4
+
+    def test_respawned_worker_inherits_and_close_restores(self, blas_at_4):
+        pinned = min(blas_at_4, cpu_budget(2))
+        plan = FaultPlan([Fault(site="pool", kind="crash", at=(0, 0))])
+        with WorkerPool(
+            _ReportsBlasThreads(), [None], [None], n_workers=1, fault_plan=plan
+        ) as pool:
+            assert _worker_count(pool) == pinned
+            assert pool.respawns == 1
+            assert _worker_count(pool, window=1) == pinned
+        assert blas_threads() == blas_at_4
+
+    def test_explicit_env_leaves_the_count(self, blas_at_4, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        with WorkerPool(_ReportsBlasThreads(), [None], [None], n_workers=2) as pool:
+            assert blas_threads() == blas_at_4
+            assert _worker_count(pool) == blas_at_4
+
+    def test_inline_executor_keeps_the_count(self, blas_at_4):
+        with InlineExecutor(_ReportsBlasThreads(), [None], [None]) as ex:
+            ex.submit(0, "shard", _count_task())
+            assert ex.recv_any()[1].rollouts == [blas_at_4]

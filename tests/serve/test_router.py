@@ -9,6 +9,7 @@ responses bit-identical to a fault-free run.
 
 import json
 import urllib.request
+from unittest import mock
 
 import pytest
 
@@ -24,6 +25,8 @@ from repro.serve import (
     ShardRouter,
     request_partition,
 )
+from repro.serve import router as router_mod
+from repro.utils import threads
 from tests.serve.conftest import Cluster
 
 _RESOLVER = {"mlp": build_mlp, "cnn": build_cnn}
@@ -375,6 +378,56 @@ class TestConfigValidation:
         ]
         with pytest.raises(ValueError, match="duplicate shard ids"):
             ShardRouter(dup, config=RouterConfig(probe_interval_s=0.0))
+
+
+class TestShardThreadBudget:
+    """Each spawned shard gets ``cpu_budget(n_shards)`` BLAS threads unless
+    the router's own environment pins a count."""
+
+    @staticmethod
+    def _spawn_env(**kwargs):
+        with mock.patch.object(
+            router_mod.subprocess, "Popen"
+        ) as popen, mock.patch.object(
+            router_mod, "_read_line", return_value="serving on 127.0.0.1:8100"
+        ):
+            popen.return_value = mock.Mock(pid=1234)
+            router_mod.spawn_shard("s0", **kwargs)
+            return popen.call_args.kwargs["env"]
+
+    @pytest.fixture
+    def no_thread_env(self, monkeypatch):
+        for name in threads.THREAD_ENV_VARS:
+            monkeypatch.delenv(name, raising=False)
+        return monkeypatch
+
+    def test_budget_lands_in_the_shard_environment(self, no_thread_env):
+        assert self._spawn_env(blas_threads=3)["OPENBLAS_NUM_THREADS"] == "3"
+        assert "OPENBLAS_NUM_THREADS" not in self._spawn_env()
+
+    @pytest.mark.parametrize("name", threads.THREAD_ENV_VARS)
+    def test_explicit_thread_variable_wins(self, no_thread_env, name):
+        no_thread_env.setenv(name, "2")
+        env = self._spawn_env(blas_threads=1)
+        assert env[name] == "2"
+        if name != "OPENBLAS_NUM_THREADS":
+            assert "OPENBLAS_NUM_THREADS" not in env
+
+    def test_spawned_shards_report_their_budget_on_healthz(self, no_thread_env):
+        if threads.blas_threads() is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        router = ShardRouter.spawn(
+            2, config=RouterConfig(probe_interval_s=0.0), seed=0
+        )
+        try:
+            for shard in router._spawned:
+                with urllib.request.urlopen(
+                    f"http://{shard.address}/healthz", timeout=30
+                ) as resp:
+                    payload = json.loads(resp.read())
+                assert payload["blas_threads"] == threads.cpu_budget(2)
+        finally:
+            router.close()
 
 
 @pytest.mark.chaos

@@ -22,6 +22,7 @@ from repro.serve import (
     fetch_metrics,
     request_partition,
 )
+from repro.utils.threads import blas_threads
 from tests.serve.conftest import Cluster, tiny_service
 
 _RESOLVER = {"mlp": build_mlp, "cnn": build_cnn}
@@ -128,6 +129,7 @@ class TestMetricsEndpoint:
         assert payload["registry_ok"] is True
         assert payload["degraded_recent"] == 0
         assert payload["shard_id"] is None
+        assert payload["blas_threads"] == blas_threads()
 
     def test_healthz_503_when_saturated(self):
         """A saturated shard reports unready so routers stop sending work."""
