@@ -32,6 +32,27 @@ from the low chips in a handful of integer ops instead of an explicit
 BFS wave — and back-tracking restores O(chips) snapshots instead of walking
 per-node undo trails.  The node-major view (``_masks``, ``_cover``) is
 derived on demand.
+
+The per-wave cost follows waves and chips, not the number of nodes a wave
+fixes:
+
+* **Per-segment mask flush.**  A wave that fixes nodes ORs each node's
+  neighbour set into one union per chip value and masks those unions out
+  of the chip domains once per *segment*: a run of nodes that saw the same
+  chip adjacency.  A node's own new chip edge can tighten the triangle
+  tables, so the pending unions are flushed under the old tables first.
+* **Plain-int edge multiset.**  The chip-edge counts live in a flat
+  ``list[int]`` (index ``a * C + b``), so snapshots and edge bookkeeping
+  never touch numpy; ``_edge_count`` is a derived ``(C, C)`` array view
+  with a setter, for diagnostics and white-box tests.
+* **Integer triangle tables.**  The addable-edge table of a chip
+  adjacency is built from per-chip reachability bitmasks (no longest-path
+  matrix), memoised by the adjacency, and carries for each chip value the
+  tuple of chips its neighbours must leave.
+* **One frame per SAMPLE step.**  :meth:`ConstraintSolver.sample_step`
+  queries the domain, applies the triangle look-ahead, draws a value and
+  commits it, consuming the RNG exactly as ``get_domain`` + draw +
+  ``set_domain`` would.
 """
 
 from __future__ import annotations
@@ -41,7 +62,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.graphs.graph import CompGraph
-from repro.solver.chipgraph import longest_paths
 
 
 class Unsatisfiable(RuntimeError):
@@ -57,6 +77,8 @@ for _byte in range(256):
     _arr.setflags(write=False)
     _BYTE_BITS.append(_arr)
 del _byte, _arr
+#: The same table as tuples of Python ints, for the sampling hot path.
+_BYTE_TUPLES = [tuple(_arr.tolist()) for _arr in _BYTE_BITS]
 
 
 def _mask_to_values(mask: int) -> np.ndarray:
@@ -78,8 +100,130 @@ def _mask_to_values(mask: int) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _draw(mask: int, weights, rng) -> int:
+    """Draw a chip from the set bits of ``mask`` following ``weights``.
+
+    Inverse-CDF sampling over the (tiny) domain in ascending chip order;
+    ``weights[d]`` is chip ``d``'s weight (a Python float).  Weights that
+    sum to zero, a negative, ``inf`` or ``nan`` fall back to a uniform
+    draw.  ``rng.choice`` carries tens of microseconds of generic-dispatch
+    overhead per call, which would dominate the solver driver at search
+    rates.
+    """
+    chips = _BYTE_TUPLES[mask] if mask < 256 else tuple(_mask_to_values(mask).tolist())
+    total = 0.0
+    for d in chips:
+        total += weights[d]
+    if not 0.0 < total < np.inf:  # catches 0, negatives, inf, and nan
+        return chips[rng.integers(len(chips))]
+    r = rng.random() * total
+    acc = 0.0
+    for d in chips[:-1]:
+        acc += weights[d]
+        if r < acc:
+            return d
+    return chips[-1]
+
+
 class _Conflict(Exception):
     """Internal signal: the current restriction emptied a domain or broke Eq. 3/4."""
+
+
+class _Tables:
+    """Triangle tables of one chip adjacency, as integer bitmasks.
+
+    ``allowed_rows[x]`` has bit ``y`` set iff a new direct chip edge
+    ``x -> y`` keeps Eq. 4 satisfiable (existing edges stay allowed).
+    ``succ[c]`` / ``pred[c]`` are the values a successor / predecessor of a
+    node fixed at ``c`` may take, and ``succ_excl[c]`` / ``pred_excl[c]``
+    the chips they must leave (tuples shared between entries).
+    ``violated`` is whether the adjacency itself breaks Eq. 4.
+    """
+
+    __slots__ = ("allowed_rows", "violated", "succ", "pred", "succ_excl", "pred_excl")
+
+    def __init__(self, adj_mask: int, n_chips: int, excluded: dict):
+        c = n_chips
+        row = (1 << c) - 1
+        out = [adj_mask >> (a * c) & row for a in range(c)]
+        # Chip edges go low -> high, so one descending sweep gives, per
+        # chip, the chips reachable through >= 1 edge (``strict``) and
+        # through a path of >= 2 edges (longest path >= 2, ``long2``).
+        reach = [0] * c
+        strict = [0] * c
+        long2 = [0] * c
+        for a in range(c - 1, -1, -1):
+            s = l2 = 0
+            m = out[a]
+            while m:
+                b = m & -m
+                m ^= b
+                j = b.bit_length() - 1
+                s |= reach[j]
+                l2 |= strict[j]
+            strict[a] = s
+            reach[a] = s | (1 << a)
+            long2[a] = l2
+        # reached_by[y]: chips that reach ``y`` (including ``y``).
+        reached_by = [0] * c
+        for a in range(c):
+            m = reach[a]
+            while m:
+                b = m & -m
+                m ^= b
+                reached_by[b.bit_length() - 1] |= 1 << a
+        # A new edge x -> y is addable iff no path x -> y of length >= 2
+        # exists and no existing edge (a, b) has ``a`` reaching ``x`` and
+        # ``y`` reaching ``b`` (which would stretch a-b's longest path).
+        allowed = []
+        for x in range(c):
+            targets = 0
+            m = reached_by[x]
+            while m:
+                b = m & -m
+                m ^= b
+                targets |= out[b.bit_length() - 1]
+            bad = 0
+            while targets:
+                b = targets & -targets
+                targets ^= b
+                bad |= reached_by[b.bit_length() - 1]
+            allowed.append((row & ~bad & ~long2[x]) | out[x])
+        self.allowed_rows = tuple(allowed)
+        self.violated = any(out[a] & long2[a] for a in range(c))
+        self.succ = tuple(allowed[v] | (1 << v) for v in range(c))
+        pred = []
+        for v in range(c):
+            col = 1 << v
+            for x in range(c):
+                if allowed[x] >> v & 1:
+                    col |= 1 << x
+            pred.append(col)
+        self.pred = tuple(pred)
+        self.succ_excl = tuple(_excluded(m, c, excluded) for m in self.succ)
+        self.pred_excl = tuple(_excluded(m, c, excluded) for m in self.pred)
+
+    @property
+    def allowed(self) -> np.ndarray:
+        """``(C, C)`` boolean addable-edge matrix (derived view)."""
+        c = len(self.allowed_rows)
+        return np.array(
+            [[bool(m >> d & 1) for d in range(c)] for m in self.allowed_rows],
+            dtype=bool,
+        )
+
+    def __getitem__(self, key: str):
+        """Mapping-style access (``entry["allowed"]``, ``entry["violated"]``)."""
+        return getattr(self, key)
+
+
+def _excluded(mask: int, n_chips: int, memo: dict) -> tuple:
+    """Ascending chips *not* in ``mask``, interned in ``memo``."""
+    out = memo.get(mask)
+    if out is None:
+        out = tuple(d for d in range(n_chips) if not mask >> d & 1)
+        memo[mask] = out
+    return out
 
 
 class ConstraintSolver:
@@ -225,22 +369,34 @@ class ConstraintSolver:
         self._succ_frontier: list[int] = [0] * self.n_chips
         self._pred_frontier: list[int] = [0] * self.n_chips
         self._max_lo = 0
-        self._edge_count = np.zeros((self.n_chips, self.n_chips), dtype=np.int64)
-        self._adj_mask = 0  # bit a*C+b set iff _edge_count[a, b] > 0
+        # Chip-edge multiset: entry ``a * C + b`` counts fixed graph edges
+        # from chip ``a`` to chip ``b``.
+        self._edge_flat: list[int] = [0] * (self.n_chips * self.n_chips)
+        self._adj_mask = 0  # bit a*C+b set iff the count of edge (a, b) > 0
         # Per-branch closure memory: nodes whose descendant (ancestor)
         # exclusions at each chip level were already applied.  Monotone with
         # the domains, so snapshots restore it consistently.
         self._done_lo: list[int] = [0] * self.n_chips
         self._done_hi: list[int] = [0] * self.n_chips
         self._decisions: list[tuple] = []  # (node, tried_mask, snapshot)
-        self._new_edges = False
         # Triangle tables memoised by the adjacency bitmask: back-tracking
         # revisits the same chip graphs constantly, so keying the cache by
         # the adjacency itself (not a version counter) gives high hit rates.
+        # ``_excluded_memo`` interns the per-value exclusion tuples the
+        # entries share.
         if not hasattr(self, "_tables_memo"):
-            self._tables_memo: dict[int, dict] = {}
-        self._tables_entry: "dict | None" = None
-        self._tables_dirty = True
+            self._tables_memo: dict[int, _Tables] = {}
+            self._excluded_memo: dict[int, tuple] = {}
+
+    @property
+    def _edge_count(self) -> np.ndarray:
+        """``(C, C)`` chip-edge multiset counts (derived view)."""
+        c = self.n_chips
+        return np.array(self._edge_flat, dtype=np.int64).reshape(c, c)
+
+    @_edge_count.setter
+    def _edge_count(self, counts) -> None:
+        self._edge_flat = np.asarray(counts, dtype=np.int64).reshape(-1).tolist()
 
     def _snapshot(self) -> tuple:
         """O(chips) copy of all branch state (masks are immutable ints)."""
@@ -248,7 +404,7 @@ class ConstraintSolver:
             list(self._avail),
             self._fixed_set,
             self._max_lo,
-            self._edge_count.copy(),
+            list(self._edge_flat),
             self._adj_mask,
             list(self._done_lo),
             list(self._done_hi),
@@ -258,29 +414,15 @@ class ConstraintSolver:
 
     def _restore(self, snap: tuple) -> None:
         """Rewind to a snapshot taken by :meth:`_snapshot`."""
-        (
-            self._avail,
-            self._fixed_set,
-            self._max_lo,
-            self._edge_count,
-            self._adj_mask,
-            self._done_lo,
-            self._done_hi,
-            self._succ_frontier,
-            self._pred_frontier,
-        ) = (
-            list(snap[0]),
-            snap[1],
-            snap[2],
-            snap[3].copy(),
-            snap[4],
-            list(snap[5]),
-            list(snap[6]),
-            list(snap[7]),
-            list(snap[8]),
-        )
-        self._new_edges = False
-        self._tables_dirty = True
+        self._avail = list(snap[0])
+        self._fixed_set = snap[1]
+        self._max_lo = snap[2]
+        self._edge_flat = list(snap[3])
+        self._adj_mask = snap[4]
+        self._done_lo = list(snap[5])
+        self._done_hi = list(snap[6])
+        self._succ_frontier = list(snap[7])
+        self._pred_frontier = list(snap[8])
 
     # ------------------------------------------------------------------
     # Node-major views (queries, diagnostics, and white-box tests)
@@ -343,23 +485,28 @@ class ConstraintSolver:
     def _triangle_prune(self, node: int, mask: int) -> int:
         """Intersect ``mask`` with chip edges implied by fixed neighbours.
 
-        ``_successor_mask(a)`` is exactly ``{a} | {d : allowed[a, d]}``, so
-        ANDing the masks of every fixed neighbour reproduces the per-value
-        filter in pure bit arithmetic.
+        ``succ[a]`` is exactly ``{a} | {d : allowed[a, d]}``, so ANDing the
+        masks of every fixed neighbour reproduces the per-value filter in
+        pure bit arithmetic.
         """
         fixed = self._fixed_set
         values = self._values
+        entry = self._tables()
         keep = -1
         bit = self._pred_bits[node] & fixed
-        while bit:
-            b = bit & -bit
-            keep &= self._successor_mask(values[b.bit_length() - 1])
-            bit ^= b
+        if bit:
+            succ = entry.succ
+            while bit:
+                b = bit & -bit
+                keep &= succ[values[b.bit_length() - 1]]
+                bit ^= b
         bit = self._succ_bits[node] & fixed
-        while bit:
-            b = bit & -bit
-            keep &= self._predecessor_mask(values[b.bit_length() - 1])
-            bit ^= b
+        if bit:
+            pred = entry.pred
+            while bit:
+                b = bit & -bit
+                keep &= pred[values[b.bit_length() - 1]]
+                bit ^= b
         return mask if keep == -1 else mask & keep
 
     def assignment(self) -> np.ndarray:
@@ -381,43 +528,16 @@ class ConstraintSolver:
     # ------------------------------------------------------------------
     # Triangle tables (memoised per chip adjacency)
     # ------------------------------------------------------------------
-    def _tables(self) -> dict:
-        """Triangle tables for the current chip adjacency (memoised).
-
-        Each entry holds the longest-path matrix, the addable-edge matrix,
-        whether the adjacency itself violates Eq. 4, and lazily filled
-        per-chip domain bitmasks.
-        """
-        if not self._tables_dirty and self._tables_entry is not None:
-            return self._tables_entry
-        key = self._adj_mask
+    def _tables(self, adj_mask: "int | None" = None) -> _Tables:
+        """Triangle tables for ``adj_mask`` (default: the current adjacency)."""
+        key = self._adj_mask if adj_mask is None else adj_mask
         entry = self._tables_memo.get(key)
         if entry is None:
-            adj = self._edge_count > 0
-            dist = longest_paths(adj)
-            reach = dist >= 0
-            # A new direct edge (x, y) is addable iff no existing path
-            # x -> y of length >= 2, and no existing direct edge (a, b)
-            # such that a reaches x and y reaches b (which would stretch
-            # a-b's longest path past 1).
-            bad = (
-                reach.T.astype(np.int64)
-                @ adj.astype(np.int64)
-                @ reach.T.astype(np.int64)
-            ) > 0
-            allowed = ~bad & (dist < 2)
-            allowed |= adj  # existing edges remain usable
-            entry = {
-                "allowed": allowed,
-                "violated": bool(np.any(adj & (dist > 1))),
-                "from_mask": {},
-                "to_mask": {},
-            }
             if len(self._tables_memo) >= 4096:
                 self._tables_memo.clear()
+                self._excluded_memo.clear()
+            entry = _Tables(key, self.n_chips, self._excluded_memo)
             self._tables_memo[key] = entry
-        self._tables_entry = entry
-        self._tables_dirty = False
         return entry
 
     def _rebuild_adj_mask(self) -> None:
@@ -427,40 +547,6 @@ class ConstraintSolver:
         for a, b in zip(*np.nonzero(self._edge_count)):
             mask |= 1 << (int(a) * c + int(b))
         self._adj_mask = mask
-
-    def _edge_allowed_from(self, a: int) -> np.ndarray:
-        """Boolean row: which destination chips accept a new edge from ``a``."""
-        return self._tables()["allowed"][a]
-
-    def _edge_allowed_to(self, b: int) -> np.ndarray:
-        """Boolean column: which source chips accept a new edge into ``b``."""
-        return self._tables()["allowed"][:, b]
-
-    def _successor_mask(self, c: int) -> int:
-        """Bitmask of values a successor of a node fixed at ``c`` may take."""
-        entry = self._tables_entry
-        if entry is None or self._tables_dirty:
-            entry = self._tables()
-        cached = entry["from_mask"].get(c)
-        if cached is None:
-            cached = 1 << c
-            for d in np.flatnonzero(entry["allowed"][c]):
-                cached |= 1 << int(d)
-            entry["from_mask"][c] = cached
-        return cached
-
-    def _predecessor_mask(self, c: int) -> int:
-        """Bitmask of values a predecessor of a node fixed at ``c`` may take."""
-        entry = self._tables_entry
-        if entry is None or self._tables_dirty:
-            entry = self._tables()
-        cached = entry["to_mask"].get(c)
-        if cached is None:
-            cached = 1 << c
-            for d in np.flatnonzero(entry["allowed"][:, c]):
-                cached |= 1 << int(d)
-            entry["to_mask"][c] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # The paper's driver interface
@@ -475,14 +561,27 @@ class ConstraintSolver:
         and returns the new (smaller) decision count.
         """
         mask_req = self._to_mask(values)
-        snap = self._snapshot()
-        try:
-            self._apply(node, mask_req)
-        except _Conflict:
-            self._restore(snap)
-            return self._resolve_conflict(node, mask_req)
-        self._decisions.append((node, mask_req, snap))
-        return len(self._decisions)
+        return self._decide(node, mask_req, self._domain_mask(node))
+
+    def sample_step(self, node: int, weights, rng) -> int:
+        """One SAMPLE step: draw a value for ``node`` and commit it.
+
+        Equivalent to ``set_domain(node, v)`` with ``v`` drawn from
+        ``get_domain(node)`` by inverse CDF over ``weights`` (indexable by
+        chip, e.g. one row of the policy distribution as a list), and it
+        consumes ``rng`` identically: no draw when the looked-ahead domain
+        is a single chip.  Returns the new decision count.
+        """
+        cur = self._domain_mask(node)
+        mask = cur
+        if cur & (cur - 1):
+            if not self._general:
+                pruned = self._triangle_prune(node, cur)
+                if pruned:
+                    mask = pruned
+            if mask & (mask - 1):
+                mask = 1 << _draw(mask, weights, rng)
+        return self._decide(node, mask, cur)
 
     # ------------------------------------------------------------------
     # Internals
@@ -502,9 +601,21 @@ class ConstraintSolver:
             raise ValueError("values must be non-empty")
         return mask
 
-    def _apply(self, node: int, mask_req: int) -> None:
-        """Restrict one node's chip mask and propagate to fixpoint."""
-        cur = self._domain_mask(node)
+    def _decide(self, node: int, mask_req: int, cur: int) -> int:
+        """Commit ``mask_req`` on ``node`` (current domain ``cur``) as a
+        decision, back-tracking on conflict; returns the decision count."""
+        snap = self._snapshot()
+        try:
+            self._apply(node, mask_req, cur)
+        except _Conflict:
+            self._restore(snap)
+            return self._resolve_conflict(node, mask_req)
+        self._decisions.append((node, mask_req, snap))
+        return len(self._decisions)
+
+    def _apply(self, node: int, mask_req: int, cur: int) -> None:
+        """Restrict one node's chip mask (currently ``cur``) and propagate
+        to fixpoint."""
         new = cur & mask_req
         if new == 0:
             raise _Conflict
@@ -532,10 +643,11 @@ class ConstraintSolver:
         whose lower bound exceeds ``d`` drag all their descendants off
         chips ``<= d`` via the precomputed descendant bitmasks, (2) the
         symmetric upper-bound closure over ancestors, and (3) triangle
-        restrictions and chip-edge bookkeeping for newly fixed nodes.
-        Rounds repeat until nothing changes; conflicts (an emptied domain,
-        an uncoverable chip, a violated triangle) raise :class:`_Conflict`
-        and the caller rewinds via snapshot.
+        restrictions and chip-edge bookkeeping for newly fixed nodes
+        (:meth:`_settle_fixed`).  Rounds repeat until nothing changes;
+        conflicts (an emptied domain, an uncoverable chip, a violated
+        triangle) raise :class:`_Conflict` and the caller rewinds via
+        snapshot.
         """
         avail = self._avail
         full = self._full
@@ -548,7 +660,7 @@ class ConstraintSolver:
         # of the current adjacency; re-application is only needed when the
         # adjacency changes mid-wave, and one pass per wave bounds its cost
         # on edge-churny instances.
-        applied_adj = self._adj_mask
+        entry_adj = applied_adj = self._adj_mask
         reapplied = False
         while True:
             changed = False
@@ -604,56 +716,9 @@ class ConstraintSolver:
             if ge1 != full:
                 raise _Conflict
 
-            # Newly fixed nodes: record chip edges (second endpoint to fix
-            # adds the edge, preserving multiset semantics) and apply the
-            # one-hop triangle masks to direct neighbours.
             new_fixed = ge1 & ~ge2 & ~self._fixed_set
-            if new_fixed:
-                values = self._values
-                for d in range(c):
-                    hit = new_fixed & avail[d]
-                    while hit:
-                        b = hit & -hit
-                        values[b.bit_length() - 1] = d
-                        hit ^= b
-                nf = new_fixed
-                while nf:
-                    b = nf & -nf
-                    nf ^= b
-                    u = b.bit_length() - 1
-                    self._fixed_set |= b
-                    value = values[u]
-                    fixed = self._fixed_set
-                    for w in self._succs[u]:
-                        if fixed >> w & 1:
-                            other = values[w]
-                            if other != value:
-                                self._add_chip_edge(value, other)
-                    for w in self._preds[u]:
-                        if fixed >> w & 1:
-                            other = values[w]
-                            if other != value:
-                                self._add_chip_edge(other, value)
-                    sb = self._succ_bits[u]
-                    if sb:
-                        self._succ_frontier[value] |= sb
-                        sm = self._successor_mask(value)
-                        for d in range(c):
-                            if not (sm >> d & 1):
-                                old = avail[d]
-                                if old & sb:
-                                    avail[d] = old & ~sb
-                                    changed = True
-                    pb = self._pred_bits[u]
-                    if pb:
-                        self._pred_frontier[value] |= pb
-                        pm = self._predecessor_mask(value)
-                        for d in range(c):
-                            if not (pm >> d & 1):
-                                old = avail[d]
-                                if old & pb:
-                                    avail[d] = old & ~pb
-                                    changed = True
+            if new_fixed and self._settle_fixed(new_fixed):
+                changed = True
 
             if not changed:
                 # At fixpoint, re-apply the one-hop triangle masks of *all*
@@ -670,25 +735,11 @@ class ConstraintSolver:
                 ):
                     reapplied = True
                     applied_adj = self._adj_mask
-                    for ch in range(c):
-                        fr = self._succ_frontier[ch]
-                        if fr:
-                            sm = self._successor_mask(ch)
-                            for d in range(c):
-                                if not (sm >> d & 1):
-                                    old = avail[d]
-                                    if old & fr:
-                                        avail[d] = old & ~fr
-                                        changed = True
-                        fr = self._pred_frontier[ch]
-                        if fr:
-                            pm = self._predecessor_mask(ch)
-                            for d in range(c):
-                                if not (pm >> d & 1):
-                                    old = avail[d]
-                                    if old & fr:
-                                        avail[d] = old & ~fr
-                                        changed = True
+                    changed = self._mask_neighbours(
+                        self._tables(),
+                        enumerate(self._succ_frontier),
+                        enumerate(self._pred_frontier),
+                    )
                 if not changed:
                     break
 
@@ -706,10 +757,127 @@ class ConstraintSolver:
                 raise _Conflict
 
         # Triangle dependency among currently fixed cross-chip edges.
-        if self._new_edges:
-            self._new_edges = False
-            if self._tables()["violated"]:
-                raise _Conflict
+        if self._adj_mask != entry_adj and self._tables().violated:
+            raise _Conflict
+
+    def _settle_fixed(self, new_fixed: int) -> bool:
+        """Chip edges and one-hop triangle masks of newly fixed nodes.
+
+        Nodes settle in ascending bit order.  The second endpoint of a
+        graph edge to become fixed records the chip edge, preserving
+        multiset semantics.  Each node's successors (predecessors) must
+        then leave the chips its value forbids under the tables of the
+        adjacency *after* its own edges.  Those removals feed nothing else
+        in this pass, so the neighbour sets are ORed into one union per
+        chip value and masked out once per run of nodes that saw the same
+        adjacency; a node whose edges change the adjacency first flushes
+        the pending unions under the old tables.  Returns whether any
+        domain shrank.
+        """
+        avail = self._avail
+        values = self._values
+        c = self.n_chips
+        for d in range(c):
+            hit = new_fixed & avail[d]
+            while hit:
+                b = hit & -hit
+                values[b.bit_length() - 1] = d
+                hit ^= b
+        succs = self._succs
+        preds = self._preds
+        succ_bits = self._succ_bits
+        pred_bits = self._pred_bits
+        counts = self._edge_flat
+        fixed = self._fixed_set
+        adj = seg_adj = self._adj_mask
+        succ_union = [0] * c
+        pred_union = [0] * c
+        pending = False
+        changed = False
+        while new_fixed:
+            b = new_fixed & -new_fixed
+            new_fixed ^= b
+            u = b.bit_length() - 1
+            fixed |= b
+            value = values[u]
+            sb = succ_bits[u]
+            pb = pred_bits[u]
+            if sb & fixed:
+                for w in succs[u]:
+                    if fixed >> w & 1:
+                        other = values[w]
+                        if other != value:
+                            if other < value:
+                                # Bounds propagation makes this unreachable.
+                                raise _Conflict
+                            k = value * c + other
+                            n = counts[k]
+                            counts[k] = n + 1
+                            if not n:
+                                adj |= 1 << k
+            if pb & fixed:
+                for w in preds[u]:
+                    if fixed >> w & 1:
+                        other = values[w]
+                        if other != value:
+                            if value < other:
+                                raise _Conflict
+                            k = other * c + value
+                            n = counts[k]
+                            counts[k] = n + 1
+                            if not n:
+                                adj |= 1 << k
+            if adj != seg_adj:
+                if pending and self._flush_unions(seg_adj, succ_union, pred_union):
+                    changed = True
+                succ_union = [0] * c
+                pred_union = [0] * c
+                pending = False
+                seg_adj = adj
+            if sb or pb:
+                succ_union[value] |= sb
+                pred_union[value] |= pb
+                pending = True
+        self._fixed_set = fixed
+        self._adj_mask = adj
+        if pending and self._flush_unions(adj, succ_union, pred_union):
+            changed = True
+        return changed
+
+    def _flush_unions(self, adj_mask: int, succ_union: list, pred_union: list) -> bool:
+        """Fold one segment's per-value neighbour unions into the frontiers
+        and mask them out under the tables of ``adj_mask``."""
+        for frontier, union in (
+            (self._succ_frontier, succ_union),
+            (self._pred_frontier, pred_union),
+        ):
+            for value, nodes in enumerate(union):
+                if nodes:
+                    frontier[value] |= nodes
+        return self._mask_neighbours(
+            self._tables(adj_mask), enumerate(succ_union), enumerate(pred_union)
+        )
+
+    def _mask_neighbours(self, entry: _Tables, succ_sets, pred_sets) -> bool:
+        """Apply one-hop triangle masks under the tables ``entry``.
+
+        ``succ_sets`` / ``pred_sets`` yield ``(value, nodes)`` pairs: the
+        successors (predecessors) of nodes fixed at chip ``value``, which
+        leave every chip ``entry`` forbids for them.  Returns whether any
+        domain shrank.
+        """
+        avail = self._avail
+        changed = False
+        for sets, excluded in ((succ_sets, entry.succ_excl), (pred_sets, entry.pred_excl)):
+            for value, nodes in sets:
+                if not nodes:
+                    continue
+                for d in excluded[value]:
+                    old = avail[d]
+                    if old & nodes:
+                        avail[d] = old & ~nodes
+                        changed = True
+        return changed
 
     def _propagate_general(self) -> None:
         """Reachability propagation for non-total-order topologies.
@@ -817,24 +985,15 @@ class ConstraintSolver:
             if avail[d] == 0:
                 raise _Conflict
 
-    def _add_chip_edge(self, a: int, b: int) -> None:
-        if b < a:
-            # Bounds propagation makes this unreachable, but guard anyway.
-            raise _Conflict
-        self._edge_count[a, b] += 1
-        if self._edge_count[a, b] == 1:
-            self._adj_mask |= 1 << (a * self.n_chips + b)
-            self._new_edges = True
-            self._tables_dirty = True
-
     def _resolve_conflict(self, node: int, tried_mask: int) -> int:
         """Back-track: exclude ``tried_mask`` from ``node`` and pop as needed."""
         while True:
-            excl = self._domain_mask(node) & ~tried_mask
+            cur = self._domain_mask(node)
+            excl = cur & ~tried_mask
             if excl:
                 snap = self._snapshot()
                 try:
-                    self._apply(node, excl)
+                    self._apply(node, excl, cur)
                 except _Conflict:
                     self._restore(snap)
                 else:

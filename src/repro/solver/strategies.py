@@ -110,33 +110,6 @@ def _guide(graph: CompGraph, probs: np.ndarray, n_chips: int, restart: int) -> n
     return blended / totals
 
 
-def _sample_from(domain: np.ndarray, probs_row: "np.ndarray | None", rng) -> int:
-    """Sample a chip from ``domain`` following ``probs_row`` when usable.
-
-    Inverse-CDF sampling over the (tiny) domain; ``rng.choice`` carries
-    tens of microseconds of generic-dispatch overhead per call, which
-    dominates the solver driver at search rates.
-    """
-    size = domain.size
-    if size == 1:
-        return int(domain[0])
-    if probs_row is None:
-        return int(domain[rng.integers(size)])
-    weights = probs_row.take(domain).tolist()
-    total = 0.0
-    for w in weights:
-        total += w
-    if not 0.0 < total < np.inf:  # catches 0, negatives, inf, and nan
-        return int(domain[rng.integers(size)])
-    r = rng.random() * total
-    acc = 0.0
-    for i in range(size - 1):
-        acc += weights[i]
-        if r < acc:
-            return int(domain[i])
-    return int(domain[size - 1])
-
-
 def _run_driver(
     solver: ConstraintSolver,
     order: np.ndarray,
@@ -145,8 +118,8 @@ def _run_driver(
 ) -> bool:
     """Drive ``step_fn`` until ``n_steps_target`` decisions or a stall.
 
-    ``step_fn(i, u)`` performs one ``set_domain`` call and returns the new
-    decision count.  Returns True when the target was reached.
+    ``step_fn(i, u)`` commits one decision on node ``u`` and returns the
+    new decision count.  Returns True when the target was reached.
     """
     n = order.size
     patience = max(int(_STALL_PATIENCE_FACTOR * n), _STALL_PATIENCE_MIN)
@@ -226,11 +199,11 @@ def sample_partition(
             if restart == 0
             else graph.random_topological_order(rng)
         )
-        effective = _guide(graph, probs, n_chips, restart)
+        # Rows as Python floats: the solver's draw reads one per domain chip.
+        rows = _guide(graph, probs, n_chips, restart).tolist()
 
         def step(i: int, u: int) -> int:
-            domain = s.get_domain(u)
-            return s.set_domain(u, _sample_from(domain, effective[u], rng))
+            return s.sample_step(u, rows[u], rng)
 
         if _run_driver(s, run_order, step, graph.n_nodes):
             return s.assignment()
@@ -292,7 +265,7 @@ def fix_partition(
             if restart == 0
             else graph.random_topological_order(rng)
         )
-        guided = _guide(graph, uniform, n_chips, restart)
+        guided = _guide(graph, uniform, n_chips, restart).tolist()
         # A candidate can be individually feasible at every step yet wedge
         # the completion; since phase 1 replays it identically, plain
         # restarts cannot escape.  Restarts therefore *thin* the candidate:
@@ -310,15 +283,13 @@ def fix_partition(
             keep &= rng.random(n) < 0.75 ** ((restart + 1) // 2)
 
         def step(i: int, u: int) -> int:
+            if i >= n:
+                return s.sample_step(u, guided[u], rng)
             domain = s.get_domain(u)
-            if i < n:
-                if keep[u] and candidate[u] in domain:
-                    return s.set_domain(u, int(candidate[u]))
-                # Leave the node open; this no-op decision advances i.
-                return s.set_domain(u, domain)
-            if domain.size == 1:
-                return s.set_domain(u, domain)
-            return s.set_domain(u, _sample_from(domain, guided[u], rng))
+            if keep[u] and candidate[u] in domain:
+                return s.set_domain(u, int(candidate[u]))
+            # Leave the node open; this no-op decision advances i.
+            return s.set_domain(u, domain)
 
         if _run_driver(s, run_order, step, 2 * n):
             return s.assignment()
