@@ -24,6 +24,12 @@ echo "== float64 contract under a pinned BLAS thread count =="
 timeout --kill-after=30 300 env OPENBLAS_NUM_THREADS=1 \
     python -m pytest -q tests/core/test_serial_goldens.py tests/parallel/
 
+echo "== benchmark checker (Eq. 2-4 against validate_partition) =="
+# perfbench judges every partition a benchmark run returns with its own
+# Eq. 2-4 checker; its tests pin that checker to the library validator,
+# so a drift between the two fails here rather than in a benchmark run.
+timeout --kill-after=15 120 python -m pytest -q perfbench/test_checks.py
+
 echo "== throughput bench (tiny smoke, 2-worker pool) =="
 timeout --kill-after=30 300 \
     python benchmarks/bench_search_throughput.py --tiny --workers 2

@@ -58,6 +58,7 @@ from repro.serve.service import (
     ServiceError,
     ServiceOverloadError,
 )
+from repro.solver.engine import MAX_CHIPS
 
 #: Client-helper defaults: fail fast (a minute, not ten) and retry twice.
 DEFAULT_TIMEOUT_S = 60.0
@@ -103,15 +104,15 @@ def request_from_payload(
     elif isinstance(spec, dict):
         try:
             graph = graph_from_dict(spec)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ServiceError(f"bad inline graph: {exc}") from None
     else:
         raise ServiceError("payload must carry 'graph' (name or inline dict)")
 
-    try:
-        n_chips = int(payload.get("chips", 4))
-    except (TypeError, ValueError):
-        raise ServiceError(f"bad chips value {payload.get('chips')!r}") from None
+    n_chips = _int_field(payload, "chips", 4)
+    if not 1 <= n_chips <= MAX_CHIPS:
+        # Checked before any topology is built: its tables are C x C.
+        raise ServiceError(f"chips must be in [1, {MAX_CHIPS}], got {n_chips}")
     topology = None
     topo_name = payload.get("topology")
     if payload.get("mesh_dims") is not None and topo_name != "mesh":
@@ -130,18 +131,29 @@ def request_from_payload(
             raise ServiceError(
                 f"bad topology spec: {exc or type(exc).__name__}"
             ) from None
-    samples = payload.get("samples")
-    version = payload.get("checkpoint_version")
     return PartitionRequest(
         graph=graph,
         n_chips=n_chips,
         topology=topology,
         objective=str(payload.get("objective", "throughput")),
         cost_model=str(payload.get("platform", "analytical")),
-        samples=None if samples is None else int(samples),
+        samples=_int_field(payload, "samples", None),
         checkpoint=payload.get("checkpoint"),
-        version=None if version is None else int(version),
+        version=_int_field(payload, "checkpoint_version", None),
     )
+
+
+def _int_field(payload: dict, key: str, default: "int | None") -> "int | None":
+    """``payload[key]`` as an int, ``default`` when absent (and null when
+    ``default`` is None); any value ``int()`` refuses, ``inf`` included, is
+    the client's 422."""
+    value = payload.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ServiceError(f"bad {key} value {value!r}") from None
 
 
 def response_to_payload(response) -> dict:
@@ -325,6 +337,8 @@ class _Handler(BaseHTTPRequestHandler):
             if length > _MAX_BODY_BYTES:
                 return 413, {"error": f"request body over {_MAX_BODY_BYTES} bytes"}
             payload = json.loads(self.rfile.read(length) or b"{}")
+            if not isinstance(payload, dict):
+                return 400, {"error": "bad request: body must be a JSON object"}
             # Client source id for per-source rate limiting: an explicit
             # header wins (routers/proxies forward the original client);
             # otherwise the peer address identifies the source.

@@ -83,6 +83,7 @@ from repro.serve.registry import (
     WarmPartitionerPool,
     default_serving_config,
 )
+from repro.solver.engine import MAX_CHIPS
 from repro.utils.threads import blas_threads
 
 #: Seed-key tag namespacing serving replays (0/1 are the training pool's).
@@ -90,6 +91,11 @@ SERVE_SEED_TAG = 2
 
 #: How many recent per-source latencies the metrics retain for percentiles.
 _LATENCY_WINDOW = 4096
+
+#: Largest sample budget one request may ask for: a search runs this many
+#: solver draws before it answers, so an unbounded budget would hold a
+#: worker (and the client) indefinitely.
+MAX_SAMPLES = 4096
 
 
 class ServiceError(RuntimeError):
@@ -223,7 +229,10 @@ class ServiceConfig:
         together run as **one** ``replay_batch`` fan-out instead of one
         per connection.  Fingerprint seeding makes results independent of
         batch composition, so coalescing is purely a throughput win.
-        ``0`` (default) keeps the unbatched path byte-for-byte.
+        ``0`` (default) keeps the unbatched path byte-for-byte.  A leader
+        that is still the only admitted submission after a 2 ms grace
+        flushes at once: with nobody to join, the window would only add
+        latency (a closed-loop single client).
     ``batch_max_size``
         Immediate-flush cap: a window holding this many requests flushes
         without waiting out the remainder of the window.
@@ -282,8 +291,8 @@ class ServiceConfig:
             raise ValueError(
                 f"precision must be one of {SERVE_PRECISIONS}"
             )
-        if self.default_samples < 1:
-            raise ValueError("default_samples must be >= 1")
+        if not 1 <= self.default_samples <= MAX_SAMPLES:
+            raise ValueError(f"default_samples must be in [1, {MAX_SAMPLES}]")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if self.max_in_flight < 0:
@@ -471,6 +480,14 @@ class _TokenBucket:
 _RATE_LIMIT_SOURCES = 1024
 
 
+#: How long a coalescing leader that is the only admitted submission waits
+#: before flushing alone.  Submissions released together with it (one
+#: burst of concurrent connections) reach admission well inside this, so
+#: they still coalesce; a lone closed-loop client pays it instead of the
+#: whole window.
+_LONE_LEADER_GRACE_S = 0.002
+
+
 class _PendingBatch:
     """One open coalescing window: requests parked waiting for the flush.
 
@@ -640,6 +657,13 @@ class PartitionService:
     def _release(self) -> None:
         with self._admit_lock:
             self._in_flight -= 1
+            alone = self._in_flight == 1
+        if alone:
+            # The one submission left may be a coalescing leader that was
+            # waiting on others: with nobody to join its window, flush now.
+            batch = self._open_batch
+            if batch is not None and len(batch.requests) == 1:
+                batch.full.set()
 
     def close(self) -> None:
         """Flush persistent state (compacts the journal when one exists)."""
@@ -662,11 +686,11 @@ class PartitionService:
                 f"cost_model must be 'analytical' or 'simulator', "
                 f"got {request.cost_model!r}"
             )
-        if request.n_chips < 1:
-            raise ServiceError("n_chips must be >= 1")
+        if not 1 <= request.n_chips <= MAX_CHIPS:
+            raise ServiceError(f"n_chips must be in [1, {MAX_CHIPS}]")
         samples = self._samples(request)
-        if samples < 1:
-            raise ServiceError("samples must be >= 1")
+        if not 1 <= samples <= MAX_SAMPLES:
+            raise ServiceError(f"samples must be in [1, {MAX_SAMPLES}]")
         if (
             request.topology is not None
             and request.topology.n_chips != request.n_chips
@@ -777,8 +801,12 @@ class PartitionService:
         The first submission in a window is the *leader*: it waits out
         ``batch_window_ms`` (or until ``batch_max_size`` members joined),
         closes the window, and runs the whole batch as one locked
-        submission.  Followers park on the batch's ``done`` event and read
-        their own slot.  Admission (rate limit + in-flight gate) happens
+        submission.  A leader that is the only admitted submission after a
+        short grace, or is left alone later when the others in flight
+        finish (:meth:`_release`), flushes at once instead: nobody is there
+        to join, and every miss is seeded by its own fingerprint, so the
+        result bits are the same either way.  Followers park on the
+        batch's ``done`` event and read their own slot.  Admission (rate limit + in-flight gate) happens
         per member *before* joining, so an over-limit client is rejected
         without delaying the window.
         """
@@ -800,8 +828,11 @@ class PartitionService:
                         self._open_batch = None
                     batch.full.set()
             if leader:
+                window = self.config.batch_window_ms / 1e3
+                grace = min(_LONE_LEADER_GRACE_S, window)
                 with span("admission.batch_wait", role="leader"):
-                    batch.full.wait(timeout=self.config.batch_window_ms / 1e3)
+                    if not batch.full.wait(timeout=grace) and self._in_flight > 1:
+                        batch.full.wait(timeout=window - grace)
                 with self._coalesce_lock:
                     batch.closed = True
                     if self._open_batch is batch:

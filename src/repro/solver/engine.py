@@ -64,6 +64,10 @@ import numpy as np
 from repro.graphs.graph import CompGraph
 
 
+#: Most chips a solver handles: a node's domain is one chip bitmask.
+MAX_CHIPS = 63
+
+
 class Unsatisfiable(RuntimeError):
     """Raised when no valid partition exists under the accumulated exclusions."""
 
@@ -264,8 +268,8 @@ class ConstraintSolver:
         triangle_frontier: "bool | None" = None,
         topology=None,
     ):
-        if n_chips < 1 or n_chips > 63:
-            raise ValueError("n_chips must be in [1, 63]")
+        if not 1 <= n_chips <= MAX_CHIPS:
+            raise ValueError(f"n_chips must be in [1, {MAX_CHIPS}]")
         if topology is not None and topology.n_chips != n_chips:
             raise ValueError(
                 f"topology is for {topology.n_chips} chips, solver got {n_chips}"
@@ -379,6 +383,8 @@ class ConstraintSolver:
         self._done_lo: list[int] = [0] * self.n_chips
         self._done_hi: list[int] = [0] * self.n_chips
         self._decisions: list[tuple] = []  # (node, tried_mask, snapshot)
+        # Trailing decisions whose snapshot is still owed (see _decide).
+        self._unsnapped = 0
         # Triangle tables memoised by the adjacency bitmask: back-tracking
         # revisits the same chip graphs constantly, so keying the cache by
         # the adjacency itself (not a version counter) gives high hit rates.
@@ -399,8 +405,12 @@ class ConstraintSolver:
         self._edge_flat = np.asarray(counts, dtype=np.int64).reshape(-1).tolist()
 
     def _snapshot(self) -> tuple:
-        """O(chips) copy of all branch state (masks are immutable ints)."""
-        return (
+        """O(chips) copy of all branch state (masks are immutable ints).
+
+        Also settles the snapshots owed to trailing no-op decisions: the
+        state has not changed since they were made.
+        """
+        snap = (
             list(self._avail),
             self._fixed_set,
             self._max_lo,
@@ -411,6 +421,13 @@ class ConstraintSolver:
             list(self._succ_frontier),
             list(self._pred_frontier),
         )
+        if self._unsnapped:
+            decisions = self._decisions
+            for i in range(len(decisions) - self._unsnapped, len(decisions)):
+                node, tried_mask, _ = decisions[i]
+                decisions[i] = (node, tried_mask, snap)
+            self._unsnapped = 0
+        return snap
 
     def _restore(self, snap: tuple) -> None:
         """Rewind to a snapshot taken by :meth:`_snapshot`."""
@@ -572,6 +589,9 @@ class ConstraintSolver:
         consumes ``rng`` identically: no draw when the looked-ahead domain
         is a single chip.  Returns the new decision count.
         """
+        if self._fixed_set >> node & 1:
+            cur = 1 << self._values[node]
+            return self._decide(node, cur, cur)
         cur = self._domain_mask(node)
         mask = cur
         if cur & (cur - 1):
@@ -603,7 +623,17 @@ class ConstraintSolver:
 
     def _decide(self, node: int, mask_req: int, cur: int) -> int:
         """Commit ``mask_req`` on ``node`` (current domain ``cur``) as a
-        decision, back-tracking on conflict; returns the decision count."""
+        decision, back-tracking on conflict; returns the decision count.
+
+        A no-op restriction (e.g. committing a value propagation already
+        fixed, most SAMPLE steps) changes no state, so its snapshot is the
+        next one taken: every state change starts with :meth:`_snapshot`,
+        which settles the debt before any decision can be popped.
+        """
+        if cur & mask_req == cur:
+            self._decisions.append((node, mask_req, None))
+            self._unsnapped += 1
+            return len(self._decisions)
         snap = self._snapshot()
         try:
             self._apply(node, mask_req, cur)
@@ -802,7 +832,11 @@ class ConstraintSolver:
             value = values[u]
             sb = succ_bits[u]
             pb = pred_bits[u]
-            if sb & fixed:
+            # Fixed neighbours off ``value``'s chip: a fixed node still in
+            # ``avail[value]`` sits on ``value`` (domains only shrink), so
+            # an empty set means no cross-chip edge to record.
+            off_chip = fixed & ~avail[value]
+            if sb & off_chip:
                 for w in succs[u]:
                     if fixed >> w & 1:
                         other = values[w]
@@ -815,7 +849,7 @@ class ConstraintSolver:
                             counts[k] = n + 1
                             if not n:
                                 adj |= 1 << k
-            if pb & fixed:
+            if pb & off_chip:
                 for w in preds[u]:
                     if fixed >> w & 1:
                         other = values[w]

@@ -1,8 +1,9 @@
 """SAMPLE and FIX solver strategies (the paper's Algorithms 1 and 2).
 
 Both strategies walk a node order, restricting one node's domain per step
-through :meth:`ConstraintSolver.set_domain`; the decision count returned by
-the solver is the loop index, so a back-track transparently rewinds the walk.
+through :meth:`ConstraintSolver.set_domain` (or its fused sampling form,
+:meth:`ConstraintSolver.sample_step`); the decision count returned by the
+solver is the loop index, so a back-track transparently rewinds the walk.
 
 * **SAMPLE** (Algorithm 1): at each node, sample a chip from the policy's
   probability distribution restricted to the current valid domain.

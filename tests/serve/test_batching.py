@@ -19,6 +19,7 @@ Contracts:
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -39,9 +40,14 @@ from tests.serve.conftest import tiny_rl_config, tiny_service
 
 
 def _concurrent_submit(service, requests, sources=None):
-    """Submit all requests from separate threads released by one barrier.
+    """Submit all requests from separate threads as one concurrent burst.
 
-    Returns a list of responses or captured exceptions, in request order.
+    The threads are released by one barrier, and the service's coalescing
+    lock is held until all of them are admitted, so the window's leader
+    sees the others in flight however the OS schedules the threads (a
+    leader that finds itself the only admitted submission flushes at
+    once).  Returns a list of responses or captured exceptions, in
+    request order.
     """
     barrier = threading.Barrier(len(requests))
     results = [None] * len(requests)
@@ -57,8 +63,12 @@ def _concurrent_submit(service, requests, sources=None):
     threads = [
         threading.Thread(target=run, args=(i,)) for i in range(len(requests))
     ]
-    for t in threads:
-        t.start()
+    with service._coalesce_lock:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30.0
+        while service.in_flight < len(requests) and time.monotonic() < deadline:
+            time.sleep(0.001)
     for t in threads:
         t.join()
     return results
@@ -92,8 +102,6 @@ class TestCoalescing:
     def test_full_batch_flushes_before_window_expires(self):
         """Hitting ``batch_max_size`` flushes immediately — the window is
         an upper bound on waiting, not a fixed delay."""
-        import time
-
         service = tiny_service(batch_window_ms=30_000.0, batch_max_size=2)
         requests = [
             PartitionRequest(graph=random_dag(s, 12), n_chips=4)
@@ -107,8 +115,8 @@ class TestCoalescing:
         assert service.metrics()["batching"]["batch_size_histogram"] == {"2": 1}
 
     def test_lone_request_flushes_after_window(self):
-        """A solo miss just waits out the window; a batch of one is not
-        'coalesced' (the counter measures saved admissions only)."""
+        """A solo miss flushes as a batch of one, which is not 'coalesced'
+        (the counter measures saved admissions only)."""
         service = tiny_service(batch_window_ms=10.0)
         response = service.submit(
             PartitionRequest(graph=build_mlp(), n_chips=4)
@@ -118,6 +126,23 @@ class TestCoalescing:
         assert batching["batches_flushed"] == 1
         assert batching["coalesced_requests"] == 0
         assert batching["batch_size_histogram"] == {"1": 1}
+
+    def test_lone_leader_does_not_wait_out_the_window(self):
+        """A leader that is the only admitted submission flushes at once:
+        with nobody to join, a 30 s window would be pure latency."""
+        service = tiny_service(batch_window_ms=30_000.0)
+        done = []
+        worker = threading.Thread(
+            target=lambda: done.append(
+                service.submit(PartitionRequest(graph=build_mlp(), n_chips=4))
+            ),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive(), "lone leader waited out the window"
+        assert done[0].source == "cold"
+        assert service.metrics()["batching"]["batch_size_histogram"] == {"1": 1}
 
     def test_window_zero_never_batches(self):
         service = tiny_service()  # batch_window_ms defaults to 0.0

@@ -4,6 +4,7 @@ The ``server`` fixture runs every wire-level case against both apps the
 front serves: a shard, and a router over two thread-backed shards.
 """
 
+import http.client
 import json
 import time
 import urllib.error
@@ -11,6 +12,8 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.graphs.serialization import graph_to_dict
 from repro.graphs.zoo import build_cnn, build_mlp
@@ -353,3 +356,92 @@ class TestRouterFront:
             "request", "router.routing", "router.attempt",
         ]
         assert spans[0]["attrs"] == {"status": 200}
+
+
+# ---------------------------------------------------------------------------
+# Wire fuzzing: every POST /partition body gets a 2xx or 4xx answer.
+# ---------------------------------------------------------------------------
+_JSON_LEAF = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_MLP_WIRE = graph_to_dict(build_mlp())
+
+
+@st.composite
+def _inline_graph(draw):
+    """The mlp's wire form with one field replaced by junk."""
+    graph = dict(_MLP_WIRE)
+    key = draw(st.sampled_from(sorted(graph)))
+    n = len(graph["names"])
+    graph[key] = draw(
+        _JSON
+        | st.lists(st.integers(-3, n + 3), min_size=n, max_size=n)
+        | st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n)
+    )
+    return graph
+
+
+# Each known key gets plausible values (so requests reach the service)
+# and arbitrary JSON.  Sample budgets stay small or out of range: a valid
+# budget in between is only slow, not a wire failure.
+_FIELDS = {
+    "graph": st.sampled_from(["mlp", "cnn", "ghost", ""]) | _inline_graph() | _JSON,
+    "chips": st.integers(-2, 70) | st.integers(min_value=2**40) | _JSON,
+    "topology": st.sampled_from(["uniring", "biring", "mesh", "crossbar", "x"]) | _JSON,
+    "mesh_dims": st.sampled_from(["2x2", "1x4", "0x0", "2x", "ax2"]) | _JSON,
+    "objective": st.sampled_from(["throughput", "latency", "energy"]) | _JSON,
+    "platform": st.sampled_from(["analytical", "simulator", "fpga"]) | _JSON,
+    "samples": st.integers(-2, 4)
+    | st.integers(min_value=2**20)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4)
+    | st.none(),
+    "checkpoint": st.none() | st.text(max_size=6) | _JSON,
+    "checkpoint_version": st.integers(-2, 3) | _JSON,
+}
+_PAYLOAD = st.fixed_dictionaries({"graph": _FIELDS["graph"]}, optional={
+    key: strategy for key, strategy in _FIELDS.items() if key != "graph"
+})
+_BODY = st.one_of(
+    _PAYLOAD.map(lambda p: json.dumps(p).encode()),
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    st.binary(max_size=32),
+)
+
+
+def _post_status(port: int, body: bytes) -> int:
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request(
+            "POST", "/partition", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    finally:
+        conn.close()
+
+
+class TestWireFuzz:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(body=_BODY)
+    def test_any_body_gets_2xx_or_4xx(self, server, body):
+        """No body may crash the handler (500) or drop the connection
+        (which raises here)."""
+        status = _post_status(server.port, body)
+        assert 200 <= status < 500, (status, body)
