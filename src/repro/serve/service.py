@@ -661,9 +661,10 @@ class PartitionService:
         if alone:
             # The one submission left may be a coalescing leader that was
             # waiting on others: with nobody to join its window, flush now.
-            batch = self._open_batch
-            if batch is not None and len(batch.requests) == 1:
-                batch.full.set()
+            with self._coalesce_lock:
+                batch = self._open_batch
+                if batch is not None and len(batch.requests) == 1:
+                    batch.full.set()
 
     def close(self) -> None:
         """Flush persistent state (compacts the journal when one exists)."""
@@ -806,9 +807,9 @@ class PartitionService:
         finish (:meth:`_release`), flushes at once instead: nobody is there
         to join, and every miss is seeded by its own fingerprint, so the
         result bits are the same either way.  Followers park on the
-        batch's ``done`` event and read their own slot.  Admission (rate limit + in-flight gate) happens
-        per member *before* joining, so an over-limit client is rejected
-        without delaying the window.
+        batch's ``done`` event and read their own slot.  Admission (rate
+        limit + in-flight gate) happens per member *before* joining, so an
+        over-limit client is rejected without delaying the window.
         """
         t_join = time.perf_counter()
         self._admit(source)

@@ -902,7 +902,10 @@ class ConstraintSolver:
         """
         avail = self._avail
         changed = False
-        for sets, excluded in ((succ_sets, entry.succ_excl), (pred_sets, entry.pred_excl)):
+        for sets, excluded in (
+            (succ_sets, entry.succ_excl),
+            (pred_sets, entry.pred_excl),
+        ):
             for value, nodes in sets:
                 if not nodes:
                     continue

@@ -18,6 +18,7 @@ Contracts:
 """
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -143,6 +144,42 @@ class TestCoalescing:
         assert not worker.is_alive(), "lone leader waited out the window"
         assert done[0].source == "cold"
         assert service.metrics()["batching"]["batch_size_histogram"] == {"1": 1}
+
+    def test_closed_loop_clients_under_thread_churn(self):
+        """Stress: more closed-loop clients than cores and a 10 us switch
+        interval; every submission still gets its own partition (no lost
+        wake-up strands a leader, no member reads another's slot)."""
+        graphs = [random_dag(40 + s, 10) for s in range(12)]
+        want = [
+            tiny_service().submit(PartitionRequest(graph=g, n_chips=4))
+            for g in graphs
+        ]
+        service = tiny_service(batch_window_ms=50.0, batch_max_size=3)
+        got = [None] * len(graphs)
+
+        def client(c):
+            for i in range(c, len(graphs), 4):
+                got[i] = service.submit(
+                    PartitionRequest(graph=graphs[i], n_chips=4)
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=client, args=(c,), daemon=True)
+                for c in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            assert g.fingerprint == w.fingerprint
+            np.testing.assert_array_equal(g.assignment, w.assignment)
 
     def test_window_zero_never_batches(self):
         service = tiny_service()  # batch_window_ms defaults to 0.0

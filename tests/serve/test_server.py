@@ -386,7 +386,9 @@ def _inline_graph(draw):
     graph[key] = draw(
         _JSON
         | st.lists(st.integers(-3, n + 3), min_size=n, max_size=n)
-        | st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n)
+        | st.lists(
+            st.floats(allow_nan=True, allow_infinity=True), min_size=n, max_size=n
+        )
     )
     return graph
 
