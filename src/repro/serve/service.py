@@ -92,6 +92,12 @@ SERVE_SEED_TAG = 2
 #: How many recent per-source latencies the metrics retain for percentiles.
 _LATENCY_WINDOW = 4096
 
+#: How long a coalescing leader with nobody else in flight, now or during
+#: the last window, waits for others before flushing alone: long enough for
+#: a burst of clients released together to join it (2 ms split 8-client
+#: bursts on a 2-core box), short against a typical window.
+_LONE_GRACE_S = 0.005
+
 #: Largest sample budget one request may ask for: a search runs this many
 #: solver draws before it answers, so an unbounded budget would hold a
 #: worker (and the client) indefinitely.
@@ -230,9 +236,10 @@ class ServiceConfig:
         per connection.  Fingerprint seeding makes results independent of
         batch composition, so coalescing is purely a throughput win.
         ``0`` (default) keeps the unbatched path byte-for-byte.  A leader
-        that is still the only admitted submission after a 2 ms grace
-        flushes at once: with nobody to join, the window would only add
-        latency (a closed-loop single client).
+        that is the only admitted submission, with no other in flight
+        during the last window either, waits only a 5 ms grace: with
+        nobody to join, the window would only add latency (a closed-loop
+        single client).
     ``batch_max_size``
         Immediate-flush cap: a window holding this many requests flushes
         without waiting out the remainder of the window.
@@ -480,14 +487,6 @@ class _TokenBucket:
 _RATE_LIMIT_SOURCES = 1024
 
 
-#: How long a coalescing leader that is the only admitted submission waits
-#: before flushing alone.  Submissions released together with it (one
-#: burst of concurrent connections) reach admission well inside this, so
-#: they still coalesce; a lone closed-loop client pays it instead of the
-#: whole window.
-_LONE_LEADER_GRACE_S = 0.002
-
-
 class _PendingBatch:
     """One open coalescing window: requests parked waiting for the flush.
 
@@ -600,6 +599,9 @@ class PartitionService:
         self._lock = threading.Lock()
         self._admit_lock = threading.Lock()
         self._in_flight = 0
+        # When two or more submissions were last in flight together (see
+        # _submit_coalesced).
+        self._shared_at = float("-inf")
         # Per-source token buckets (rate limiting), LRU-bounded.
         self._buckets: "OrderedDict[str, _TokenBucket]" = OrderedDict()
         # Coalescing state: the currently open window, if any.
@@ -653,18 +655,14 @@ class PartitionService:
                         retry_after=self.config.retry_after_s,
                     )
                 self._in_flight += 1
+                if self._in_flight > 1:
+                    self._shared_at = time.monotonic()
 
     def _release(self) -> None:
         with self._admit_lock:
+            if self._in_flight > 1:
+                self._shared_at = time.monotonic()
             self._in_flight -= 1
-            alone = self._in_flight == 1
-        if alone:
-            # The one submission left may be a coalescing leader that was
-            # waiting on others: with nobody to join its window, flush now.
-            with self._coalesce_lock:
-                batch = self._open_batch
-                if batch is not None and len(batch.requests) == 1:
-                    batch.full.set()
 
     def close(self) -> None:
         """Flush persistent state (compacts the journal when one exists)."""
@@ -802,11 +800,11 @@ class PartitionService:
         The first submission in a window is the *leader*: it waits out
         ``batch_window_ms`` (or until ``batch_max_size`` members joined),
         closes the window, and runs the whole batch as one locked
-        submission.  A leader that is the only admitted submission after a
-        short grace, or is left alone later when the others in flight
-        finish (:meth:`_release`), flushes at once instead: nobody is there
-        to join, and every miss is seeded by its own fingerprint, so the
-        result bits are the same either way.  Followers park on the
+        submission.  A leader that is the only admitted submission, with no
+        other in flight during the last window either (a closed-loop single
+        client), waits only a short grace instead: nobody is there to join,
+        and every miss is seeded by its own fingerprint, so the result bits
+        are the same either way.  Followers park on the
         batch's ``done`` event and read their own slot.  Admission (rate
         limit + in-flight gate) happens per member *before* joining, so an
         over-limit client is rejected without delaying the window.
@@ -830,10 +828,17 @@ class PartitionService:
                     batch.full.set()
             if leader:
                 window = self.config.batch_window_ms / 1e3
-                grace = min(_LONE_LEADER_GRACE_S, window)
+                with self._admit_lock:
+                    alone = (
+                        self._in_flight == 1
+                        and time.monotonic() - self._shared_at > window
+                    )
                 with span("admission.batch_wait", role="leader"):
-                    if not batch.full.wait(timeout=grace) and self._in_flight > 1:
-                        batch.full.wait(timeout=window - grace)
+                    # Even alone, give submissions released in the same
+                    # instant (a burst from idle) a moment to join.
+                    batch.full.wait(
+                        timeout=min(_LONE_GRACE_S, window) if alone else window
+                    )
                 with self._coalesce_lock:
                     batch.closed = True
                     if self._open_batch is batch:
