@@ -111,10 +111,13 @@ def _draw(mask: int, weights, rng) -> int:
     ``weights[d]`` is chip ``d``'s weight (a Python float).  Weights that
     sum to zero, a negative, ``inf`` or ``nan`` fall back to a uniform
     draw.  ``rng.choice`` carries tens of microseconds of generic-dispatch
-    overhead per call, which would dominate the solver driver at search
+    overhead per call, which would dominate each SAMPLE step at search
     rates.
     """
-    chips = _BYTE_TUPLES[mask] if mask < 256 else tuple(_mask_to_values(mask).tolist())
+    if mask < 256:
+        chips = _BYTE_TUPLES[mask]
+    else:
+        chips = tuple(_mask_to_values(mask).tolist())
     total = 0.0
     for d in chips:
         total += weights[d]

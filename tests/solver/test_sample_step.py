@@ -1,7 +1,7 @@
 """``sample_step`` is ``get_domain`` + an inverse-CDF draw + ``set_domain``.
 
-The reference driver below is the SAMPLE step written against the public
-interface; both drivers share a seed, so equal decision counts, equal
+The reference loop below is the SAMPLE step written against the public
+interface; both loops share a seed, so equal decision counts, equal
 domains and equal generator states after every step pin that the fused
 step consumes the RNG exactly like the reference.
 """
@@ -39,7 +39,7 @@ def _reference_draw(domain: np.ndarray, weights: np.ndarray, rng) -> int:
     n_chips=st.integers(2, 6),
     zero_rows=st.booleans(),
 )
-def test_sample_step_matches_reference_driver(seed, n_nodes, n_chips, zero_rows):
+def test_sample_step_matches_get_domain_set_domain(seed, n_nodes, n_chips, zero_rows):
     graph = random_dag(seed, n_nodes)
     wrng = np.random.default_rng(seed)
     probs = wrng.random((n_nodes, n_chips))
